@@ -31,8 +31,6 @@ __all__ = [
     "classify",
     "choi_to_json",
     "choi_from_json",
-    "save_choi",
-    "load_choi",
 ]
 
 CLASS_ATOL = 1e-8
@@ -129,13 +127,3 @@ def choi_from_json(text: str) -> ChoiMatrix:
         return ChoiMatrix(HermitianOperator(mat), d_in, d_out)
     except ValueError as exc:
         raise StateFormatError(str(exc)) from exc
-
-
-def save_choi(j: ChoiMatrix, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(choi_to_json(j) + "\n")
-
-
-def load_choi(path: str) -> ChoiMatrix:
-    with open(path, encoding="utf-8") as fh:
-        return choi_from_json(fh.read())

@@ -37,6 +37,7 @@ from .entropy import (
     max_entropy,
     max_target_fidelity,
     min_entropy,
+    report_to_json,
     singlet_fraction,
 )
 from .sdp import SolverError
@@ -97,10 +98,6 @@ def _emit(args: argparse.Namespace, obj: dict) -> None:
             print(f"{key} = {val}")
 
 
-def _load_state_checked(path: str) -> BipartiteState:
-    return load_state(path)
-
-
 def _load_target(path: str, d_a: int) -> PureState:
     proj = load_state(path)
     if proj.d_A != d_a or proj.d_B != d_a:
@@ -114,21 +111,13 @@ def _load_target(path: str, d_a: int) -> PureState:
 
 
 def _cmd_state(args: argparse.Namespace) -> int:
-    state = _load_state_checked(args.input)
+    state = load_state(args.input)
     if args.verb in ("hmin", "hmax"):
         rep = min_entropy(state) if args.verb == "hmin" else max_entropy(state)
-        _emit(
-            args,
-            {
-                "quantity": rep.quantity,
-                "value_bits": rep.value_bits,
-                "value": 2.0 ** (-rep.value_bits) if args.verb == "hmin" else 2.0**rep.value_bits,
-                "gap": rep.gap,
-                "primal_value": rep.certificate.primal_value,
-                "dual_value": rep.certificate.dual_value,
-                "status": rep.certificate.status,
-            },
-        )
+        fields = json.loads(report_to_json(rep))
+        value = 2.0 ** (-rep.value_bits) if args.verb == "hmin" else 2.0**rep.value_bits
+        # keys repeated from the report keep their first position
+        _emit(args, {"quantity": rep.quantity, "value_bits": rep.value_bits, "value": value, **fields})
     elif args.verb == "qcorr":
         value, cert = singlet_fraction(state)
         _emit(
@@ -178,7 +167,7 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
 
 
 def _cmd_fidmax(args: argparse.Namespace) -> int:
-    state = _load_state_checked(args.input)
+    state = load_state(args.input)
     target = _load_target(args.target, state.d_A)
     value = max_target_fidelity(state, target)
     _emit(args, {"quantity": "max_target_fidelity", "value": value})

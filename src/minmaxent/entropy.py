@@ -2,16 +2,19 @@
 
 The conditional min-entropy of a bipartite state rho_AB is
 
-    H_min(A|B) = -log2 min{ tr(sigma) : sigma >= 0, id_A (x) sigma >= rho_AB },
+    H_min(A|B) = -log2 min{ tr(sigma) : sigma >= 0, id_A (x) sigma >= rho_AB }
+               = -log2 max{ tr(rho_AB E) : E_AB >= 0, tr_A E = id_B }.
 
-an SDP whose dual runs over operators E_AB >= 0 with tr_A E = id_B; the
-dual optimizer is the Choi matrix of a completely positive unital map
-whose adjoint is the trace-preserving recovery channel achieving the best
-overlap with the maximally entangled state.  The max-entropy is minus the
-min-entropy of A conditioned on a purifying system, and equals the log of
-the decoupling accuracy d_A * max_sigma F(rho_AB, tau_A (x) sigma)^2,
-computed here directly through the semidefinite characterization of the
-root fidelity.  F always denotes the ROOT fidelity ||sqrt(r) sqrt(s)||_1,
+The second (the paper's) form is what is solved: its d_B^2 equality
+constraints make it the solver's standard primal, and the optimal sigma
+is read from the multipliers.  The optimizer E is the Choi matrix of a
+completely positive unital map whose adjoint is the trace-preserving
+recovery channel achieving the best overlap with the maximally
+entangled state.  The max-entropy is minus the min-entropy of A
+conditioned on a purifying system, and equals the log of the decoupling
+accuracy d_A * max_sigma F(rho_AB, tau_A (x) sigma)^2, computed here
+directly through the semidefinite characterization of the root
+fidelity.  F always denotes the ROOT fidelity ||sqrt(r) sqrt(s)||_1,
 whose square is the overlap against pure states.  All logarithms are
 base 2 and every reported value carries its solver certificate.
 """
@@ -34,6 +37,7 @@ from .core import (
     _matrix_to_json,
     _partial_trace_mat,
     _root_fidelity_mats,
+    _support_isometry,
     cq_to_density,
     hermitian_basis,
     maximally_entangled,
@@ -65,7 +69,12 @@ SCHMIDT_ATOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class EntropyReport:
-    """An entropy value in bits together with its optimization certificate."""
+    """An entropy value in bits together with its optimization certificate.
+
+    certificate is the solver's own solution of the SDP max{tr(rho E) :
+    E >= 0, tr_A E = id_B} in standard form, so its primal_value is
+    -tr(rho E) and its dual_value is -tr(sigma); gap = tr(sigma) - tr(rho E).
+    """
 
     quantity: str
     value_bits: float
@@ -124,38 +133,30 @@ def _require_optimal(sol: SdpSolution, what: str) -> None:
 def _solve_min_entropy_operator(
     rho: np.ndarray, d_a: int, d_b: int
 ) -> tuple[SdpSolution, np.ndarray, np.ndarray]:
-    """Run min{tr sigma : id (x) sigma >= rho} for a PSD operator rho.
+    """Run max{tr(rho E) : E >= 0, tr_A E = id_B} for a PSD operator rho.
 
-    Returns the solution, the optimal sigma block, and the completed dual
-    optimizer E with tr_A E = id_B.  The SDP variable is diag(sigma, S)
-    with the slack S = id (x) sigma - rho tied entrywise by equality
-    constraints; the strictly feasible start uses sigma_0 = 2*lmax(rho)*id.
+    Returns the solution, the optimal sigma and the optimizer E.  The SDP
+    is the solver's standard primal with X = E, C = -rho and the d_B^2
+    constraints tr((id_A (x) B_k) E) = tr B_k over the Hermitian basis of
+    B, so primal_value = -tr(rho E) and dual_value = -tr(sigma), where
+    sigma = -sum_k y_k B_k satisfies id (x) sigma >= rho.  E is made to
+    satisfy tr_A E = id_B exactly by the congruence with id (x) T^(-1/2),
+    T = tr_A E, which keeps it positive semidefinite.
     """
-    d_ab = d_a * d_b
-    basis = hermitian_basis(d_ab)
-    n = d_b + d_ab
-    cmat = np.zeros((n, n), dtype=complex)
-    cmat[:d_b, :d_b] = np.eye(d_b)
-    cons = []
-    for bk in basis:
-        amat = np.zeros((n, n), dtype=complex)
-        amat[:d_b, :d_b] = -_partial_trace_mat(bk, d_a, d_b, "B")
-        amat[d_b:, d_b:] = bk
-        cons.append((HermitianOperator(amat), -float(np.trace(bk @ rho).real)))
-    problem = sdp.HermitianSdp(HermitianOperator(cmat), tuple(cons))
-
-    lam = float(np.linalg.eigvalsh(rho)[-1])
-    c0 = 2.0 * lam if lam > 1e-12 else 1.0
-    x0 = np.zeros((n, n), dtype=complex)
-    x0[:d_b, :d_b] = c0 * np.eye(d_b)
-    x0[d_b:, d_b:] = c0 * np.eye(d_ab) - rho
-    sol = sdp.solve(problem, x0=HermitianOperator(x0))
+    basis = hermitian_basis(d_b)
+    eye_a = np.eye(d_a)
+    cons = tuple(
+        (HermitianOperator(np.kron(eye_a, bk)), float(np.trace(bk).real)) for bk in basis
+    )
+    problem = sdp.HermitianSdp(HermitianOperator(-rho), cons)
+    sol = sdp.solve(problem)
     _require_optimal(sol, "min-entropy SDP")
 
-    sigma = sol.X_star.mat[:d_b, :d_b]
-    e_ab = -np.einsum("k,kij->ij", sol.y_star, basis)
-    slack_b = np.eye(d_b) - _partial_trace_mat(e_ab, d_a, d_b, "B")
-    e_ab = e_ab + np.kron(np.eye(d_a) / d_a, slack_b)
+    sigma = -np.einsum("k,kij->ij", sol.y_star, basis)
+    e_ab = sol.X_star.mat
+    w, v = np.linalg.eigh(_partial_trace_mat(e_ab, d_a, d_b, "B"))
+    fix = np.kron(eye_a, (v * w**-0.5) @ v.conj().T)
+    e_ab = fix @ e_ab @ fix
     return sol, sigma, 0.5 * (e_ab + e_ab.conj().T)
 
 
@@ -165,7 +166,7 @@ def _report_from_hmin(
     sigma_norm = sigma / float(np.trace(sigma).real)
     return EntropyReport(
         quantity=quantity,
-        value_bits=-math.log2(sol.primal_value),
+        value_bits=-math.log2(-sol.dual_value),
         certificate=sol,
         optimizer_sigma=DensityOperator.from_matrix(sigma_norm),
         dual_optimizer=ChoiMatrix(HermitianOperator(e_ab), d_a, d_b),
@@ -176,8 +177,8 @@ def _report_from_hmin(
 def min_entropy(state: BipartiteState) -> EntropyReport:
     """H_min(A|B) of a bipartite state, with primal and dual optimizers.
 
-    value_bits = -log2 of the primal optimum; the report carries the
-    normalized optimal sigma and the dual optimizer E with tr_A E = id_B.
+    value_bits = -log2 tr(sigma) at the optimum; the report carries the
+    normalized optimal sigma and the optimizer E with tr_A E = id_B.
     """
     sol, sigma, e_ab = _solve_min_entropy_operator(state.mat, state.d_A, state.d_B)
     return _report_from_hmin("min_entropy", sol, sigma, e_ab, state.d_A, state.d_B)
@@ -194,7 +195,7 @@ def max_entropy(state: BipartiteState) -> EntropyReport:
 
     The purifying dimension is the rank of rho_AB.  The returned report
     carries the inner min-entropy certificate (its sigma lives on C and
-    its dual optimizer on A (x) C).
+    its optimizer E on A (x) C).
     """
     psi = purify(state.rho)
     d_c = psi.dim // (state.d_A * state.d_B)
@@ -263,19 +264,9 @@ def singlet_fraction(state: BipartiteState) -> tuple[float, RecoveryCertificate]
     out = _apply_on_second(recovery, state.mat, d_a)
     phi = maximally_entangled(d_a).amplitudes
     achieved = float((phi.conj() @ out @ phi).real)
-    value = sol.primal_value
+    value = -sol.dual_value
     cert = RecoveryCertificate(channel=recovery, achieved_overlap=achieved, predicted=value / d_a)
     return value, cert
-
-
-def _support_isometry(rho: np.ndarray) -> np.ndarray:
-    """Isometry onto the support of a PSD matrix (eigenvalue cutoff 1e-12 relative)."""
-    w, v = np.linalg.eigh(rho)
-    cutoff = 1e-12 * max(float(w[-1]), 1e-300)
-    keep = w > cutoff
-    if not np.any(keep):
-        raise ValueError("operator has numerically empty support")
-    return v[:, keep]
 
 
 def _decoupling_problem(
@@ -370,7 +361,7 @@ def max_target_fidelity(state: BipartiteState, target: PureState) -> float:
     """Best squared fidelity with a full-Schmidt-rank pure target on A (x) A'.
 
     max_F F((id (x) F)(rho_AB), |Psi><Psi|)^2 over channels F from B to
-    A', computed by running the min-entropy primal on the conjugated
+    A', computed by running the min-entropy SDP on the conjugated
     operator d_A (t^(1/2) (x) id) rho (t^(1/2) (x) id) with t the reduced
     state of the target on A.  For the maximally entangled target this
     reduces to singlet_fraction / d_A.
@@ -389,7 +380,7 @@ def max_target_fidelity(state: BipartiteState, target: PureState) -> float:
     sol, _, _ = _solve_min_entropy_operator(
         0.5 * (rho_tilde + rho_tilde.conj().T), d_a, d_b
     )
-    return sol.primal_value / d_a
+    return -sol.dual_value / d_a
 
 
 def closed_form_entropies(state: BipartiteState, case: str) -> tuple[float, float]:
@@ -420,13 +411,17 @@ def closed_form_entropies(state: BipartiteState, case: str) -> tuple[float, floa
 
 
 def report_to_json(report: EntropyReport, include_optimizers: bool = False) -> str:
-    """One-line JSON form of a report; optimizer matrices are optional."""
+    """One-line JSON form of a report; optimizer matrices are optional.
+
+    primal_value is the sigma-side bound tr(sigma) and dual_value the
+    E-side bound tr(rho E), the min{tr sigma : id (x) sigma >= rho} view.
+    """
     fields = [
         f'"quantity":"{report.quantity}"',
         f'"value_bits":{report.value_bits!r}',
         f'"gap":{report.gap!r}',
-        f'"primal_value":{report.certificate.primal_value!r}',
-        f'"dual_value":{report.certificate.dual_value!r}',
+        f'"primal_value":{-report.certificate.dual_value!r}',
+        f'"dual_value":{-report.certificate.primal_value!r}',
         f'"status":"{report.certificate.status}"',
     ]
     if include_optimizers:

@@ -21,6 +21,7 @@ from .core import (
     DensityOperator,
     HermitianOperator,
     PureState,
+    _support_isometry,
     hermitian_basis,
     maximally_entangled,
 )
@@ -221,12 +222,6 @@ def sampled_singlet_fraction(state: BipartiteState, samples: int, seed: int) -> 
         raise ValueError("sampling bound requires d_A <= d_B")
     phi = maximally_entangled(state.d_A)
     return state.d_A * sampled_target_fidelity(state, phi, samples, seed)
-
-
-def _support_isometry(mat: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(mat)
-    keep = w > 1e-12 * max(float(w[-1]), 1e-300)
-    return v[:, keep]
 
 
 def fidelity_sdp(rho: DensityOperator, omega: DensityOperator) -> float:

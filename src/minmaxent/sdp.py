@@ -14,9 +14,10 @@ H -> [[Re H, -Im H], [Im H, Re H]], which doubles eigenvalue
 multiplicities and inner products; objective and dual data are mapped
 back after the solve.  The iteration is an infeasible-start
 path-following method with Nesterov-Todd scaling and a Mehrotra-style
-adaptive centering parameter.  Inequalities are not supported directly;
-callers encode them through slack blocks inside a block-diagonal
-variable, which keeps one code path for everything.
+adaptive centering parameter.  Only equality constraints are supported:
+the min-entropy is posed in its form max tr(rho E) over E >= 0 with
+tr_A E = id_B, and the fidelity programs through block variables whose
+corners are tied by equalities.
 """
 
 from __future__ import annotations

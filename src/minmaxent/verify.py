@@ -26,6 +26,7 @@ from .core import (
 from .entropy import (
     closed_form_entropies,
     decoupling_accuracy,
+    guessing_probability,
     key_secrecy_block,
     max_entropy,
     max_target_fidelity,
@@ -122,6 +123,7 @@ def _crit_guessing(seed: int, trials: int) -> list[OracleReport]:
         oracle = helstrom_guess_probability(float(ens.probs[0]), ens.cond_states[0], ens.cond_states[1])
         rep = min_entropy(cq_to_density(ens))
         main = 2.0 ** (-rep.value_bits)
+        value, _ = guessing_probability(ens)
         rows.append(
             OracleReport(
                 quantity=f"pguess.t{i:02d}",
@@ -129,6 +131,16 @@ def _crit_guessing(seed: int, trials: int) -> list[OracleReport]:
                 main_value=main,
                 gap=abs(main - oracle),
                 method="Helstrom spectral projector",
+                tolerance=1e-6,
+            )
+        )
+        rows.append(
+            OracleReport(
+                quantity=f"pguess.povm.t{i:02d}",
+                oracle_value=oracle,
+                main_value=value,
+                gap=abs(value - oracle),
+                method="Helstrom vs optimal POVM SDP",
                 tolerance=1e-6,
             )
         )

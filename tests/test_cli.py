@@ -40,6 +40,16 @@ def test_hmin_text_output(library, capsys):
     assert "status = optimal" in out
 
 
+def test_hmin_hmax_json_bounds(library, capsys):
+    # primal_value is the sigma-side bound tr(sigma), dual_value is tr(rho E)
+    for verb in ("hmin", "hmax"):
+        assert run([verb, "--input", str(library / "random_2x3.json"), "--format", "json"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["primal_value"] >= obj["dual_value"] - 1e-9
+        assert abs(obj["primal_value"] - obj["value"]) <= 1e-7
+        assert obj["gap"] == pytest.approx(obj["primal_value"] - obj["dual_value"], abs=1e-12)
+
+
 def test_pguess_json_output(library, capsys):
     assert run(["pguess", "--input", str(library / "helstrom.json"), "--format", "json"]) == 0
     obj = json.loads(capsys.readouterr().out)

@@ -106,6 +106,19 @@ class TestMinEntropy:
             assert -math.log2(min(d_a, d_b)) - 1e-7 <= h <= math.log2(d_a) + 1e-7
             assert max_entropy(state).value_bits <= math.log2(d_a) + 1e-7
 
+    def test_certificate_sizes(self):
+        # the SDP variable is E on A (x) B with one constraint per basis element of B
+        state = random_state(3, 2, seed=42)
+        cert = min_entropy(state).certificate
+        assert cert.X_star.dim == 3 * 2
+        assert cert.y_star.size == 2**2
+
+    def test_full_rank_3x2_regression(self):
+        # a feasible start E = id/d_A stalled on this state above the tolerance
+        rep = min_entropy(BipartiteState(random_density(6, 38), 3, 2))
+        assert rep.certificate.status == "optimal"
+        assert rep.value_bits == pytest.approx(0.5593104458351952, abs=1e-8)
+
     def test_report_serialization(self):
         import json as json_mod
 
@@ -136,6 +149,13 @@ class TestMaxEntropy:
         state = random_state(2, 2, seed=6)
         value, _ = decoupling_accuracy(state)
         assert max_entropy(state).value_bits == pytest.approx(math.log2(value), abs=1e-6)
+
+    def test_certificate_sizes(self):
+        # the inner min-entropy SDP lives on A (x) C with C of dimension rank(rho)
+        state = random_state(2, 3, seed=43, rank=4)
+        cert = max_entropy(state).certificate
+        assert cert.X_star.dim == 2 * 4
+        assert cert.y_star.size == 4**2
 
     def test_duality_with_min_entropy_bounds(self):
         state = random_state(2, 2, seed=7)
@@ -203,6 +223,10 @@ class TestSingletFraction:
             value, cert = singlet_fraction(state)
             flags = classify(cert.channel)
             assert flags.cp and flags.trace_preserving
+            ch = cert.channel
+            j = ch.op.mat.reshape(ch.d_in, ch.d_out, ch.d_in, ch.d_out)
+            tp_residual = np.max(np.abs(np.einsum("iaja->ij", j) - np.eye(ch.d_in)))
+            assert tp_residual <= 1e-12
             assert abs(cert.achieved_overlap - cert.predicted) <= 1e-6
             assert state.d_A * cert.achieved_overlap == pytest.approx(value, abs=1e-6)
 
