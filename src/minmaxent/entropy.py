@@ -130,6 +130,16 @@ def _require_optimal(sol: SdpSolution, what: str) -> None:
         raise SolverError(f"{what}: solver stopped with status {sol.status}", sol)
 
 
+def _min_entropy_problem(rho: np.ndarray, d_a: int, d_b: int) -> sdp.HermitianSdp:
+    """min tr(-rho E) s.t. tr((id_A (x) B_k) E) = tr B_k over the Hermitian basis of B."""
+    eye_a = np.eye(d_a)
+    cons = tuple(
+        (HermitianOperator(np.kron(eye_a, bk)), float(np.trace(bk).real))
+        for bk in hermitian_basis(d_b)
+    )
+    return sdp.HermitianSdp(HermitianOperator(-rho), cons)
+
+
 def _solve_min_entropy_operator(
     rho: np.ndarray, d_a: int, d_b: int
 ) -> tuple[SdpSolution, np.ndarray, np.ndarray]:
@@ -143,19 +153,13 @@ def _solve_min_entropy_operator(
     satisfy tr_A E = id_B exactly by the congruence with id (x) T^(-1/2),
     T = tr_A E, which keeps it positive semidefinite.
     """
-    basis = hermitian_basis(d_b)
-    eye_a = np.eye(d_a)
-    cons = tuple(
-        (HermitianOperator(np.kron(eye_a, bk)), float(np.trace(bk).real)) for bk in basis
-    )
-    problem = sdp.HermitianSdp(HermitianOperator(-rho), cons)
-    sol = sdp.solve(problem)
+    sol = sdp.solve(_min_entropy_problem(rho, d_a, d_b))
     _require_optimal(sol, "min-entropy SDP")
 
-    sigma = -np.einsum("k,kij->ij", sol.y_star, basis)
+    sigma = -np.einsum("k,kij->ij", sol.y_star, hermitian_basis(d_b))
     e_ab = sol.X_star.mat
     w, v = np.linalg.eigh(_partial_trace_mat(e_ab, d_a, d_b, "B"))
-    fix = np.kron(eye_a, (v * w**-0.5) @ v.conj().T)
+    fix = np.kron(np.eye(d_a), (v * w**-0.5) @ v.conj().T)
     e_ab = fix @ e_ab @ fix
     return sol, sigma, 0.5 * (e_ab + e_ab.conj().T)
 
@@ -212,6 +216,22 @@ def max_entropy(state: BipartiteState) -> EntropyReport:
     )
 
 
+def _guessing_problem(e: CqEnsemble) -> sdp.HermitianSdp:
+    """min -sum_x p_x tr(E_x rho_x) over block-diagonal E with sum_x E_x = id_B."""
+    k, d_b = e.n_outcomes, e.d_B
+    n = k * d_b
+    cmat = np.zeros((n, n), dtype=complex)
+    for x in range(k):
+        cmat[x * d_b : (x + 1) * d_b, x * d_b : (x + 1) * d_b] = -e.probs[x] * e.cond_states[x].mat
+    cons = []
+    for bk in hermitian_basis(d_b):
+        amat = np.zeros((n, n), dtype=complex)
+        for x in range(k):
+            amat[x * d_b : (x + 1) * d_b, x * d_b : (x + 1) * d_b] = bk
+        cons.append((HermitianOperator(amat), float(np.trace(bk).real)))
+    return sdp.HermitianSdp(HermitianOperator(cmat), tuple(cons))
+
+
 def guessing_probability(e: CqEnsemble) -> tuple[float, list[HermitianOperator]]:
     """Best probability of decoding X from B, with the optimal POVM.
 
@@ -220,20 +240,8 @@ def guessing_probability(e: CqEnsemble) -> tuple[float, list[HermitianOperator]]
     the value equals 2^(-H_min(X|B)) of the joint cq state.
     """
     k, d_b = e.n_outcomes, e.d_B
-    basis_b = hermitian_basis(d_b)
-    n = k * d_b
-    cmat = np.zeros((n, n), dtype=complex)
-    for x in range(k):
-        cmat[x * d_b : (x + 1) * d_b, x * d_b : (x + 1) * d_b] = -e.probs[x] * e.cond_states[x].mat
-    cons = []
-    for bk in basis_b:
-        amat = np.zeros((n, n), dtype=complex)
-        for x in range(k):
-            amat[x * d_b : (x + 1) * d_b, x * d_b : (x + 1) * d_b] = bk
-        cons.append((HermitianOperator(amat), float(np.trace(bk).real)))
-    problem = sdp.HermitianSdp(HermitianOperator(cmat), tuple(cons))
-    x0 = HermitianOperator(np.eye(n, dtype=complex) / k)
-    sol = sdp.solve(problem, x0=x0)
+    x0 = HermitianOperator(np.eye(k * d_b, dtype=complex) / k)
+    sol = sdp.solve(_guessing_problem(e), x0=x0)
     _require_optimal(sol, "guessing-probability SDP")
     povm = [
         HermitianOperator(sol.X_star.mat[x * d_b : (x + 1) * d_b, x * d_b : (x + 1) * d_b])

@@ -1,4 +1,4 @@
-"""Self-contained primal-dual interior-point solver for dense Hermitian SDPs.
+"""Self-contained primal-dual interior-point solver for Hermitian SDPs.
 
 Solves   minimize    tr(C X)
          subject to  tr(A_i X) = b_i,   i = 1..m,
@@ -18,6 +18,12 @@ adaptive centering parameter.  Only equality constraints are supported:
 the min-entropy is posed in its form max tr(rho E) over E >= 0 with
 tr_A E = id_B, and the fidelity programs through block variables whose
 corners are tied by equalities.
+
+The iterates are dense, but the constraints are not: each embedded A_i
+is held in a padded coordinate form (its few nonzeros), and the Schur
+matrix H_ij = tr(A_i W A_j W) of every iteration is built from those
+coordinates (Fujisawa, Kojima and Nakata, Math. Prog. 79, 1997), at
+O(m k N^2 + m^2 k) for N = 2n and k the largest nonzero count of an A_i.
 """
 
 from __future__ import annotations
@@ -71,7 +77,8 @@ class HermitianSdp:
 
     All operators share one dimension and the A_i must be linearly
     independent as real vectors, which is checked at construction via the
-    spectrum of their Gram matrix.
+    spectrum of their Gram matrix.  The constraints' coordinate form, which
+    solve() works with, is derived once here.
     """
 
     objective: HermitianOperator
@@ -85,14 +92,14 @@ class HermitianSdp:
         for i, (a, _) in enumerate(cons):
             if a.dim != n:
                 raise ValueError(f"constraint {i} has dimension {a.dim}, expected {n}")
-        vecs = np.stack(
-            [np.concatenate([a.mat.real.ravel(), a.mat.imag.ravel()]) for a, _ in cons]
-        )
-        gram = vecs @ vecs.T
+        coords = _ConstraintCoords.of([a.mat for a, _ in cons])
+        # Re tr(A_i A_j) is half the Gram matrix of the embedded constraints
+        gram = 0.5 * coords.schur(np.eye(coords.n))
         evals = np.linalg.eigvalsh(gram)
         if evals[0] <= GRAM_RANK_TOL * max(1.0, evals[-1]):
             raise ValueError("constraint operators are linearly dependent")
         object.__setattr__(self, "constraints", cons)
+        object.__setattr__(self, "_coords", coords)
 
     @property
     def dim(self) -> int:
@@ -143,6 +150,61 @@ def _embed(h: np.ndarray) -> np.ndarray:
     return np.block([[h.real, -h.imag], [h.imag, h.real]])
 
 
+@dataclass(frozen=True, eq=False)
+class _ConstraintCoords:
+    """Embedded constraints in padded coordinate form.
+
+    Row i lists the nonzeros of the embedded n x n matrix A_i:
+    A_i = sum_k v[i, k] e_p[i, k] e_q[i, k]^T.  Rows shorter than the
+    longest are padded with v = 0 at (0, 0), which every sum ignores.
+    """
+
+    p: np.ndarray
+    q: np.ndarray
+    v: np.ndarray
+    n: int
+
+    @classmethod
+    def of(cls, mats: list[np.ndarray]) -> "_ConstraintCoords":
+        n = mats[0].shape[0]
+        rows = []
+        for a in mats:
+            # the nonzeros of _embed(a) = [[Re a, -Im a], [Im a, Re a]]
+            (r1, c1), (r2, c2) = np.nonzero(a.real), np.nonzero(a.imag)
+            re, im = a.real[r1, c1], a.imag[r2, c2]
+            rows.append((np.concatenate([r1, r1 + n, r2, r2 + n]),
+                         np.concatenate([c1, c1 + n, c2 + n, c2]),
+                         np.concatenate([re, re, -im, im])))
+        shape = (len(mats), max(len(v) for _, _, v in rows))
+        p = np.zeros(shape, dtype=np.intp)
+        q = np.zeros(shape, dtype=np.intp)
+        v = np.zeros(shape)
+        for i, (pi, qi, vi) in enumerate(rows):
+            p[i, : len(vi)], q[i, : len(vi)], v[i, : len(vi)] = pi, qi, vi
+        return cls(p, q, v, 2 * n)
+
+    def op(self, x: np.ndarray) -> np.ndarray:
+        """A(X)_i = tr(A_i X), a gather of X at the nonzeros."""
+        return np.einsum("ik,ik->i", self.v, x[self.p, self.q])
+
+    def adj(self, y: np.ndarray) -> np.ndarray:
+        """A*(y) = sum_i y_i A_i, one scatter-add over the nonzeros."""
+        flat = (self.p * self.n + self.q).ravel()
+        weights = (y[:, None] * self.v).ravel()
+        return np.bincount(flat, weights, minlength=self.n * self.n).reshape(self.n, self.n)
+
+    def schur(self, w: np.ndarray) -> np.ndarray:
+        """H_ij = tr(A_i W A_j W) for symmetric W.
+
+        W A_j W = sum_k v_jk W[:, p_jk] W[q_jk, :] is one batched
+        (m, n, k) @ (m, k, n) product, and H_ij gathers it at the
+        nonzeros of A_i: H_ij = sum_k v_ik (W A_j W)[q_ik, p_ik].
+        """
+        left = np.swapaxes(w[self.p] * self.v[:, :, None], 1, 2)
+        waw = left @ w[self.q]
+        return np.einsum("ik,jik->ij", self.v, waw[:, self.q, self.p])
+
+
 def _unembed(s: np.ndarray, n: int) -> np.ndarray:
     re = 0.5 * (s[:n, :n] + s[n:, n:])
     im = 0.5 * (s[n:, :n] - s[:n, n:])
@@ -191,8 +253,8 @@ def _max_step(s: np.ndarray, d: np.ndarray, fraction: float) -> float:
     verified against an exact eigenvalue check and shrunk if needed.
     """
     ell = _chol_psd(s)
-    y = scipy.linalg.solve_triangular(ell, d, lower=True)
-    y = scipy.linalg.solve_triangular(ell, y.T, lower=True)
+    y = scipy.linalg.solve_triangular(ell, d, lower=True, check_finite=False)
+    y = scipy.linalg.solve_triangular(ell, y.T, lower=True, check_finite=False)
     wmin = float(_eigh(0.5 * (y + y.T), vectors=False)[0])
     alpha = 1.0 if wmin >= -1e-14 else min(1.0, -fraction / wmin)
     for _ in range(60):
@@ -223,27 +285,22 @@ def solve(
       "max_iterations"        the iteration cap was hit or the steps stalled;
       "infeasible_suspected"  the iterates diverged past DIVERGENCE_LIMIT;
       "numerical_failure"     a factorization failed on every LAPACK route.
-    A stalled or interrupted run whose last iterate still meets the
-    acceptance thresholds reports "optimal".  Whatever the status, the
-    last completed iterate is returned as the certificate; no LinAlgError
-    from the iteration escapes.
+    A run stops as "optimal" when the dual residual and gap meet tol and
+    the primal residual meets tol, or has stopped decreasing within
+    ACCEPT_TOL.  A stalled or interrupted run whose last iterate still
+    meets the acceptance thresholds reports "optimal".  Whatever the
+    status, the last completed iterate is returned as the certificate; no
+    LinAlgError from the iteration escapes.
     """
     nc = problem.dim
     n = 2 * nc
     m = problem.n_constraints
-    c_h = problem.objective.mat
-    cmat = _embed(c_h)
-    amats = np.stack([_embed(a.mat) for a, _ in problem.constraints])
-    aflat = amats.reshape(m, n * n)
+    cmat = _embed(problem.objective.mat)
+    coords = problem._coords
+    a_op, a_adj = coords.op, coords.adj
     b = 2.0 * np.array([bi for _, bi in problem.constraints])
 
-    def a_op(x: np.ndarray) -> np.ndarray:
-        return aflat @ x.ravel()
-
-    def a_adj(y: np.ndarray) -> np.ndarray:
-        return (y @ aflat).reshape(n, n)
-
-    anorms = np.linalg.norm(aflat, axis=1)
+    anorms = np.linalg.norm(coords.v, axis=1)
     norm_b = float(np.linalg.norm(b))
     norm_c = float(np.linalg.norm(cmat))
 
@@ -264,6 +321,7 @@ def solve(
     status = STATUS_MAX_ITERATIONS
     iterations = 0
     stall = 0
+    pinf_prev = np.inf
 
     def gap_ok(pv: float, dv: float) -> bool:
         # on degenerate optimal faces the primal residual keeps a ~1e-9
@@ -286,15 +344,22 @@ def solve(
         dinf = float(np.linalg.norm(rd)) / (1.0 + norm_c)
         relgap = xz / (1.0 + abs(pv) + abs(dv))
 
-        if pinf <= tol and dinf <= tol and relgap <= tol and gap_ok(pv, dv):
+        # a primal residual that floors above tol (within ACCEPT_TOL) once
+        # the rest has converged only grows from here: the steps leave the cone
+        floored = tol < pinf <= ACCEPT_TOL and pinf >= pinf_prev
+        if (pinf <= tol or floored) and dinf <= tol and relgap <= tol and gap_ok(pv, dv):
             status = STATUS_OPTIMAL
             break
+        pinf_prev = pinf
         if max(np.abs(x).max(), np.abs(z).max(), np.abs(y).max() if m else 0.0) > DIVERGENCE_LIMIT:
             status = STATUS_INFEASIBLE_SUSPECTED
             break
 
         # Any LinAlgError left after the fallbacks in _eigh and _chol_psd
         # ends the loop; (x, y, z) are only replaced by a completed step.
+        # scipy's finiteness scans (check_finite) are skipped: on these small
+        # matrices they cost about as much as the LAPACK calls themselves, and
+        # a non-finite value still ends in a LinAlgError, not a ValueError.
         try:
             # Nesterov-Todd scaling point W with W Z W = X.
             lx = _chol_psd(x)
@@ -305,12 +370,12 @@ def solve(
             w = (t * wmid**-0.5) @ t.T
             w = 0.5 * (w + w.T)
 
-            waw = w @ amats @ w
-            schur = aflat @ waw.reshape(m, n * n).T
+            schur = coords.schur(w)
             schur = 0.5 * (schur + schur.T)
             try:
                 schur_fac = scipy.linalg.cho_factor(
-                    schur + 1e-14 * max(float(np.trace(schur)) / m, 1.0) * np.eye(m)
+                    schur + 1e-14 * max(float(np.trace(schur)) / m, 1.0) * np.eye(m),
+                    check_finite=False,
                 )
             except np.linalg.LinAlgError:
                 schur_fac = None
@@ -318,11 +383,12 @@ def solve(
             def solve_schur(rhs: np.ndarray) -> np.ndarray:
                 if schur_fac is None:
                     return np.linalg.lstsq(schur, rhs, rcond=None)[0]
-                dy = scipy.linalg.cho_solve(schur_fac, rhs)
+                dy = scipy.linalg.cho_solve(schur_fac, rhs, check_finite=False)
                 # two rounds of iterative refinement against the unregularized
                 # Schur matrix; near the optimum it is severely ill-conditioned
                 for _ in range(2):
-                    dy = dy + scipy.linalg.cho_solve(schur_fac, rhs - schur @ dy)
+                    res = rhs - schur @ dy
+                    dy = dy + scipy.linalg.cho_solve(schur_fac, res, check_finite=False)
                 return dy
 
             def newton(rc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -341,7 +407,7 @@ def solve(
 
             # Corrector: recenter toward sigma*mu on the same factorization.
             lz = _chol_psd(z)
-            zinv = scipy.linalg.cho_solve((lz, True), eye_n)
+            zinv = scipy.linalg.cho_solve((lz, True), eye_n, check_finite=False)
             zinv = 0.5 * (zinv + zinv.T)
             dx, dy, dz = newton(sigma * mu * zinv - x)
             ap = _max_step(x, dx, step_fraction)

@@ -1,0 +1,80 @@
+"""Property tests of the entropies and certificates on random small states."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from minmaxent import (
+    BipartiteState,
+    CqEnsemble,
+    DensityOperator,
+    HermitianOperator,
+    check_certificate,
+    max_entropy,
+    min_entropy,
+    random_density,
+)
+from minmaxent.entropy import _guessing_problem, _min_entropy_problem
+from minmaxent.oracles import haar_isometry
+from minmaxent.sdp import solve
+
+SETTINGS = settings(max_examples=12, derandomize=True, deadline=None)
+TOL = 1e-7
+
+
+@st.composite
+def states(draw) -> BipartiteState:
+    """Random bipartite states with 2 <= d_A, d_B <= 3 and a random rank."""
+    d_a = draw(st.integers(2, 3))
+    d_b = draw(st.integers(2, 3))
+    rank = draw(st.integers(1, d_a * d_b))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return BipartiteState(random_density(d_a * d_b, seed, rank=rank), d_a, d_b)
+
+
+@SETTINGS
+@given(states())
+def test_entropies_are_ordered_and_bounded(state):
+    h_min = min_entropy(state).value_bits
+    h_max = max_entropy(state).value_bits
+    log_d = math.log2(state.d_A)
+    assert -log_d - TOL <= h_min <= h_max + TOL
+    assert h_max <= log_d + TOL
+
+
+@SETTINGS
+@given(states(), st.integers(0, 2**32 - 1))
+def test_local_unitaries_leave_entropies_unchanged(state, seed):
+    rng = np.random.default_rng(seed)
+    u = np.kron(haar_isometry(state.d_A, state.d_A, rng), haar_isometry(state.d_B, state.d_B, rng))
+    rotated = u @ state.mat @ u.conj().T
+    other = BipartiteState(DensityOperator.from_matrix(rotated), state.d_A, state.d_B)
+    assert abs(min_entropy(other).value_bits - min_entropy(state).value_bits) <= TOL
+    assert abs(max_entropy(other).value_bits - max_entropy(state).value_bits) <= TOL
+
+
+@SETTINGS
+@given(states())
+def test_min_entropy_certificate_has_no_weak_duality_violation(state):
+    problem = _min_entropy_problem(state.mat, state.d_A, state.d_B)
+    report = check_certificate(problem, min_entropy(state).certificate)
+    assert report.weak_duality_violation <= 1e-9
+
+
+@SETTINGS
+@given(st.integers(2, 3), st.integers(2, 3), st.integers(0, 2**32 - 1))
+def test_guessing_certificate_meets_the_weak_duality_guarantee(k, d_b, seed):
+    rng = np.random.default_rng(seed)
+    probs = rng.dirichlet(np.ones(k))
+    ensemble = CqEnsemble(probs, tuple(random_density(d_b, seed + x) for x in range(k)))
+    problem = _guessing_problem(ensemble)
+    x0 = HermitianOperator(np.eye(k * d_b, dtype=complex) / k)
+    sol = solve(problem, x0=x0)
+    report = check_certificate(problem, sol)
+    # binary discrimination ends on a degenerate face (a projective optimal
+    # POVM), where solve() promises 1e-7 relative rather than 1e-9: a dual
+    # residual at tol leaves b'y up to ~2e-9 above tr(C X) here
+    bound = 1e-7 * (1.0 + abs(sol.primal_value) + abs(sol.dual_value))
+    assert report.weak_duality_violation <= bound

@@ -7,6 +7,7 @@ import scipy.linalg
 
 from minmaxent import (
     BipartiteState,
+    CqEnsemble,
     HermitianOperator,
     HermitianSdp,
     SdpSolution,
@@ -18,6 +19,7 @@ from minmaxent import (
     sdp,
     solve,
 )
+from minmaxent.entropy import _decoupling_problem, _guessing_problem, _min_entropy_problem
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -151,6 +153,17 @@ class TestSolve:
         v2 = solve(scaled).primal_value
         assert v2 == pytest.approx(3.5 * v1, rel=1e-7)
 
+    @pytest.mark.parametrize("seed", [38, 98])
+    def test_floored_primal_residual_stops_optimal(self, seed):
+        # from the feasible start id/d_A the primal residual of these 3x2
+        # min-entropy SDPs floors near 1e-8 once the gap has closed; the
+        # iteration used to run on until it left the cone
+        p = _min_entropy_problem(random_density(6, seed).mat, 3, 2)
+        ref = solve(p)
+        sol = solve(p, x0=herm(np.eye(6) / 3))
+        assert ref.status == sol.status == "optimal"
+        assert sol.dual_value == pytest.approx(ref.dual_value, abs=1e-8)
+
     def test_max_iterations_status(self):
         sol = solve(domination_problem(random_density(3, 11).mat), max_iterations=2)
         assert sol.status == "max_iterations"
@@ -223,6 +236,53 @@ class TestCertificate:
         )
         report = check_certificate(p, forged)
         assert report.weak_duality_violation > 1e-6
+
+
+BUILDERS = {
+    "min_entropy_kron": lambda: _min_entropy_problem(random_density(6, 31).mat, 3, 2),
+    "guessing_block_diagonal": lambda: _guessing_problem(
+        CqEnsemble(np.array([0.5, 0.3, 0.2]), tuple(random_density(2, 30 + x) for x in range(3)))
+    ),
+    "decoupling_three_block": lambda: _decoupling_problem(
+        random_density(4, 32, rank=3).mat, 2, 2
+    )[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+class TestConstraintCoords:
+    """The coordinate form against the dense embedded constraint matrices."""
+
+    @staticmethod
+    def dense(name: str) -> tuple[sdp._ConstraintCoords, np.ndarray]:
+        p = BUILDERS[name]()
+        return p._coords, np.stack([sdp._embed(a.mat) for a, _ in p.constraints])
+
+    def test_schur_matches_dense_definition(self, name):
+        coords, amats = self.dense(name)
+        n = amats.shape[1]
+        g = np.random.default_rng(40).standard_normal((n, n))
+        w = g @ g.T / n + 0.1 * np.eye(n)
+        waw = np.einsum("ab,jbc,cd->jad", w, amats, w)
+        ref = np.einsum("iab,jba->ij", amats, waw)
+        h = coords.schur(w)
+        assert np.max(np.abs(h - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_op_and_adjoint(self, name):
+        coords, amats = self.dense(name)
+        m, n = amats.shape[0], amats.shape[1]
+        rng = np.random.default_rng(41)
+        x, y = rng.standard_normal((n, n)), rng.standard_normal(m)
+        ax, aty = coords.op(x), coords.adj(y)
+        assert np.max(np.abs(ax - np.einsum("iab,ab->i", amats, x))) <= 1e-12
+        assert np.max(np.abs(aty - np.einsum("i,iab->ab", y, amats))) <= 1e-12
+        assert abs(ax @ y - np.sum(x * aty)) <= 1e-12 * (1.0 + abs(ax @ y))
+
+    def test_padding_is_the_largest_nonzero_count(self, name):
+        coords, amats = self.dense(name)
+        counts = np.count_nonzero(amats.reshape(amats.shape[0], -1), axis=1)
+        assert coords.v.shape == (amats.shape[0], counts.max())
+        assert np.array_equal(np.count_nonzero(coords.v, axis=1), counts)
 
 
 def _raise_linalg(*args, **kwargs):
@@ -322,6 +382,23 @@ class TestEigenFallback:
     def test_cholesky_failure_is_a_numerical_failure(self, monkeypatch):
         p = domination_problem(random_density(3, 16).mat)
         monkeypatch.setattr(np.linalg, "cholesky", _raise_linalg)
+        sol = solve(p)
+        assert sol.status == "numerical_failure"
+        assert np.all(np.isfinite(sol.X_star.mat)) and np.all(np.isfinite(sol.y_star))
+
+    def test_non_finite_newton_direction_is_a_numerical_failure(self, monkeypatch):
+        # a NaN out of a Schur solve reaches LAPACK, which reports the failure;
+        # it used to escape as scipy's ValueError about non-finite input
+        p = domination_problem(random_density(3, 16).mat)
+        cho_solve = scipy.linalg.cho_solve
+        calls = []
+
+        def nan_on_twentieth_call(*args, **kwargs):
+            calls.append(1)
+            out = cho_solve(*args, **kwargs)
+            return out * np.nan if len(calls) == 20 else out
+
+        monkeypatch.setattr(scipy.linalg, "cho_solve", nan_on_twentieth_call)
         sol = solve(p)
         assert sol.status == "numerical_failure"
         assert np.all(np.isfinite(sol.X_star.mat)) and np.all(np.isfinite(sol.y_star))
