@@ -216,38 +216,21 @@ def max_entropy(state: BipartiteState) -> EntropyReport:
     )
 
 
-def _guessing_problem(e: CqEnsemble) -> sdp.HermitianSdp:
-    """min -sum_x p_x tr(E_x rho_x) over block-diagonal E with sum_x E_x = id_B."""
-    k, d_b = e.n_outcomes, e.d_B
-    n = k * d_b
-    cmat = np.zeros((n, n), dtype=complex)
-    for x in range(k):
-        cmat[x * d_b : (x + 1) * d_b, x * d_b : (x + 1) * d_b] = -e.probs[x] * e.cond_states[x].mat
-    cons = []
-    for bk in hermitian_basis(d_b):
-        amat = np.zeros((n, n), dtype=complex)
-        for x in range(k):
-            amat[x * d_b : (x + 1) * d_b, x * d_b : (x + 1) * d_b] = bk
-        cons.append((HermitianOperator(amat), float(np.trace(bk).real)))
-    return sdp.HermitianSdp(HermitianOperator(cmat), tuple(cons))
-
-
 def guessing_probability(e: CqEnsemble) -> tuple[float, list[HermitianOperator]]:
     """Best probability of decoding X from B, with the optimal POVM.
 
-    Maximizes sum_x p_x tr(E_x rho_x) over POVMs {E_x}; this is the
-    min-entropy dual restricted to operators that are classical on X, so
-    the value equals 2^(-H_min(X|B)) of the joint cq state.
+    Maximizes sum_x p_x tr(E_x rho_x) over POVMs {E_x}.  This is the
+    min-entropy SDP of the joint cq state, whose value is 2^(-H_min(X|B));
+    the diagonal blocks E_x of its optimizer E form the POVM, as
+    tr_X E = id_B makes them sum to id_B.
     """
     k, d_b = e.n_outcomes, e.d_B
-    x0 = HermitianOperator(np.eye(k * d_b, dtype=complex) / k)
-    sol = sdp.solve(_guessing_problem(e), x0=x0)
-    _require_optimal(sol, "guessing-probability SDP")
+    sol, _, e_xb = _solve_min_entropy_operator(cq_to_density(e).mat, k, d_b)
     povm = [
-        HermitianOperator(sol.X_star.mat[x * d_b : (x + 1) * d_b, x * d_b : (x + 1) * d_b])
+        HermitianOperator(e_xb[x * d_b : (x + 1) * d_b, x * d_b : (x + 1) * d_b])
         for x in range(k)
     ]
-    return -sol.primal_value, povm
+    return -sol.dual_value, povm
 
 
 def _apply_on_second(j: ChoiMatrix, rho_ab: np.ndarray, d_a: int) -> np.ndarray:

@@ -9,21 +9,19 @@ together with the dual
          maximize    b' y
          subject to  Z = C - sum_i y_i A_i >= 0.
 
-The complex problem is mapped onto its real symmetric embedding
-H -> [[Re H, -Im H], [Im H, Re H]], which doubles eigenvalue
-multiplicities and inner products; objective and dual data are mapped
-back after the solve.  The iteration is an infeasible-start
-path-following method with Nesterov-Todd scaling and a Mehrotra-style
+The iterates are complex Hermitian matrices throughout.  The iteration
+is an infeasible-start path-following method with Nesterov-Todd scaling
+(Todd, Toh and Tutuncu, SIAM J. Optim. 8, 1998) and a Mehrotra-style
 adaptive centering parameter.  Only equality constraints are supported:
 the min-entropy is posed in its form max tr(rho E) over E >= 0 with
 tr_A E = id_B, and the fidelity programs through block variables whose
 corners are tied by equalities.
 
-The iterates are dense, but the constraints are not: each embedded A_i
-is held in a padded coordinate form (its few nonzeros), and the Schur
-matrix H_ij = tr(A_i W A_j W) of every iteration is built from those
+The iterates are dense, but the constraints are not: each A_i is held
+in a padded coordinate form (its few complex nonzeros), and the Schur
+matrix H_ij = Re tr(A_i W A_j W) of every iteration is built from those
 coordinates (Fujisawa, Kojima and Nakata, Math. Prog. 79, 1997), at
-O(m k N^2 + m^2 k) for N = 2n and k the largest nonzero count of an A_i.
+O(m k n^2 + m^2 k) for k the largest nonzero count of an A_i.
 """
 
 from __future__ import annotations
@@ -93,8 +91,7 @@ class HermitianSdp:
             if a.dim != n:
                 raise ValueError(f"constraint {i} has dimension {a.dim}, expected {n}")
         coords = _ConstraintCoords.of([a.mat for a, _ in cons])
-        # Re tr(A_i A_j) is half the Gram matrix of the embedded constraints
-        gram = 0.5 * coords.schur(np.eye(coords.n))
+        gram = coords.schur(np.eye(n))
         evals = np.linalg.eigvalsh(gram)
         if evals[0] <= GRAM_RANK_TOL * max(1.0, evals[-1]):
             raise ValueError("constraint operators are linearly dependent")
@@ -146,15 +143,11 @@ class CertificateReport:
     weak_duality_violation: float
 
 
-def _embed(h: np.ndarray) -> np.ndarray:
-    return np.block([[h.real, -h.imag], [h.imag, h.real]])
-
-
 @dataclass(frozen=True, eq=False)
 class _ConstraintCoords:
-    """Embedded constraints in padded coordinate form.
+    """Hermitian constraints in padded coordinate form.
 
-    Row i lists the nonzeros of the embedded n x n matrix A_i:
+    Row i lists the complex nonzeros of the n x n matrix A_i:
     A_i = sum_k v[i, k] e_p[i, k] e_q[i, k]^T.  Rows shorter than the
     longest are padded with v = 0 at (0, 0), which every sum ignores.
     """
@@ -166,54 +159,43 @@ class _ConstraintCoords:
 
     @classmethod
     def of(cls, mats: list[np.ndarray]) -> "_ConstraintCoords":
-        n = mats[0].shape[0]
-        rows = []
-        for a in mats:
-            # the nonzeros of _embed(a) = [[Re a, -Im a], [Im a, Re a]]
-            (r1, c1), (r2, c2) = np.nonzero(a.real), np.nonzero(a.imag)
-            re, im = a.real[r1, c1], a.imag[r2, c2]
-            rows.append((np.concatenate([r1, r1 + n, r2, r2 + n]),
-                         np.concatenate([c1, c1 + n, c2 + n, c2]),
-                         np.concatenate([re, re, -im, im])))
-        shape = (len(mats), max(len(v) for _, _, v in rows))
+        rows = [np.nonzero(a) for a in mats]
+        shape = (len(mats), max(len(pi) for pi, _ in rows))
         p = np.zeros(shape, dtype=np.intp)
         q = np.zeros(shape, dtype=np.intp)
-        v = np.zeros(shape)
-        for i, (pi, qi, vi) in enumerate(rows):
-            p[i, : len(vi)], q[i, : len(vi)], v[i, : len(vi)] = pi, qi, vi
-        return cls(p, q, v, 2 * n)
+        v = np.zeros(shape, dtype=complex)
+        for i, (a, (pi, qi)) in enumerate(zip(mats, rows)):
+            p[i, : len(pi)], q[i, : len(pi)], v[i, : len(pi)] = pi, qi, a[pi, qi]
+        return cls(p, q, v, mats[0].shape[0])
 
     def op(self, x: np.ndarray) -> np.ndarray:
-        """A(X)_i = tr(A_i X), a gather of X at the nonzeros."""
-        return np.einsum("ik,ik->i", self.v, x[self.p, self.q])
+        """A(X)_i = tr(A_i X) = Re sum_k v_ik X[q_ik, p_ik] for Hermitian X."""
+        return np.einsum("ik,ik->i", self.v, x[self.q, self.p]).real
 
     def adj(self, y: np.ndarray) -> np.ndarray:
-        """A*(y) = sum_i y_i A_i, one scatter-add over the nonzeros."""
+        """A*(y) = sum_i y_i A_i, a scatter-add of the real and imaginary parts."""
+        size = self.n * self.n
         flat = (self.p * self.n + self.q).ravel()
         weights = (y[:, None] * self.v).ravel()
-        return np.bincount(flat, weights, minlength=self.n * self.n).reshape(self.n, self.n)
+        re = np.bincount(flat, weights.real, minlength=size)
+        im = np.bincount(flat, weights.imag, minlength=size)
+        return (re + 1j * im).reshape(self.n, self.n)
 
     def schur(self, w: np.ndarray) -> np.ndarray:
-        """H_ij = tr(A_i W A_j W) for symmetric W.
+        """H_ij = Re tr(A_i W A_j W) for Hermitian W.
 
         W A_j W = sum_k v_jk W[:, p_jk] W[q_jk, :] is one batched
-        (m, n, k) @ (m, k, n) product, and H_ij gathers it at the
-        nonzeros of A_i: H_ij = sum_k v_ik (W A_j W)[q_ik, p_ik].
+        (m, n, k) @ (m, k, n) product, W[:, p] being w.T[p], and H_ij
+        gathers it at the nonzeros of A_i:
+        H_ij = Re sum_k v_ik (W A_j W)[q_ik, p_ik].
         """
-        left = np.swapaxes(w[self.p] * self.v[:, :, None], 1, 2)
+        left = np.swapaxes(w.T[self.p] * self.v[:, :, None], 1, 2)
         waw = left @ w[self.q]
-        return np.einsum("ik,jik->ij", self.v, waw[:, self.q, self.p])
-
-
-def _unembed(s: np.ndarray, n: int) -> np.ndarray:
-    re = 0.5 * (s[:n, :n] + s[n:, n:])
-    im = 0.5 * (s[n:, :n] - s[:n, n:])
-    m = re + 1j * im
-    return 0.5 * (m + m.conj().T)
+        return np.einsum("ik,jik->ij", self.v, waw[:, self.q, self.p]).real
 
 
 def _eigh(s: np.ndarray, vectors: bool = True):
-    """Symmetric eigendecomposition (or eigenvalues only) with LAPACK fallbacks.
+    """Hermitian eigendecomposition (or eigenvalues only) with LAPACK fallbacks.
 
     numpy's divide-and-conquer route (syevd) runs first, so its result is
     returned unchanged whenever it converges.  Some LAPACK builds report
@@ -232,11 +214,11 @@ def _eigh(s: np.ndarray, vectors: bool = True):
             )
         except np.linalg.LinAlgError:
             continue
-    raise np.linalg.LinAlgError("symmetric eigensolver failed on every LAPACK driver")
+    raise np.linalg.LinAlgError("Hermitian eigensolver failed on every LAPACK driver")
 
 
 def _chol_psd(s: np.ndarray) -> np.ndarray:
-    scale = max(float(np.trace(s)) / s.shape[0], 1e-300)
+    scale = max(float(np.trace(s).real) / s.shape[0], 1e-300)
     for shift in (0.0, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6):
         try:
             return np.linalg.cholesky(s + shift * scale * np.eye(s.shape[0]))
@@ -245,17 +227,17 @@ def _chol_psd(s: np.ndarray) -> np.ndarray:
     raise np.linalg.LinAlgError("matrix is not positive definite")
 
 
-def _max_step(s: np.ndarray, d: np.ndarray, fraction: float) -> float:
+def _max_step(s: np.ndarray, ell: np.ndarray, d: np.ndarray, fraction: float) -> float:
     """Largest alpha <= 1 with s + alpha*d staying (fraction-)inside the cone.
 
-    The Cholesky-based estimate can overshoot when s is nearly singular
-    (the factor may carry a stabilizing shift), so the returned step is
-    verified against an exact eigenvalue check and shrunk if needed.
+    ell is the Cholesky factor of s from _chol_psd.  The estimate from it
+    can overshoot when s is nearly singular (the factor may carry a
+    stabilizing shift), so the returned step is verified against an exact
+    eigenvalue check and shrunk if needed.
     """
-    ell = _chol_psd(s)
     y = scipy.linalg.solve_triangular(ell, d, lower=True, check_finite=False)
-    y = scipy.linalg.solve_triangular(ell, y.T, lower=True, check_finite=False)
-    wmin = float(_eigh(0.5 * (y + y.T), vectors=False)[0])
+    y = scipy.linalg.solve_triangular(ell, y.conj().T, lower=True, check_finite=False)
+    wmin = float(_eigh(0.5 * (y + y.conj().T), vectors=False)[0])
     alpha = 1.0 if wmin >= -1e-14 else min(1.0, -fraction / wmin)
     for _ in range(60):
         if alpha < 1e-14 or _eigh(s + alpha * d, vectors=False)[0] > 0.0:
@@ -292,22 +274,21 @@ def solve(
     status, the last completed iterate is returned as the certificate; no
     LinAlgError from the iteration escapes.
     """
-    nc = problem.dim
-    n = 2 * nc
+    n = problem.dim
     m = problem.n_constraints
-    cmat = _embed(problem.objective.mat)
+    cmat = problem.objective.mat
     coords = problem._coords
     a_op, a_adj = coords.op, coords.adj
-    b = 2.0 * np.array([bi for _, bi in problem.constraints])
+    b = np.array([bi for _, bi in problem.constraints])
 
     anorms = np.linalg.norm(coords.v, axis=1)
     norm_b = float(np.linalg.norm(b))
     norm_c = float(np.linalg.norm(cmat))
 
     if x0 is not None:
-        if x0.dim != nc:
-            raise ValueError(f"x0 has dimension {x0.dim}, expected {nc}")
-        x = _embed(x0.mat)
+        if x0.dim != n:
+            raise ValueError(f"x0 has dimension {x0.dim}, expected {n}")
+        x = x0.mat
         if _eigh(x, vectors=False)[0] <= 1e-14:
             x = max(1.0, np.sqrt(n)) * np.eye(n)
     else:
@@ -329,20 +310,23 @@ def solve(
         # is within the certificate tolerance in absolute value
         return dv <= pv + 1e-9 or abs(pv - dv) <= ACCEPT_TOL * (1.0 + abs(pv) + abs(dv))
 
-    for it in range(1, max_iterations + 1):
-        iterations = it
+    def measure(x, y, z):
         rp = b - a_op(x)
         rd = cmat - z - a_adj(y)
-        xz = float(np.sum(x * z))
-        mu = xz / n
+        xz = float(np.vdot(z, x).real)
         # infeasibility-compensated objective (the Lagrangian value): when
         # the residual floor is paid for by large multipliers, tr(C X)
         # alone underestimates the optimum by y'(b - A(X))
-        pv = float(np.sum(cmat * x)) + float(y @ rp)
+        pv = float(np.vdot(cmat, x).real) + float(y @ rp)
         dv = float(b @ y)
         pinf = float(np.linalg.norm(rp)) / (1.0 + norm_b)
         dinf = float(np.linalg.norm(rd)) / (1.0 + norm_c)
-        relgap = xz / (1.0 + abs(pv) + abs(dv))
+        return rp, rd, xz, pv, dv, pinf, dinf, xz / (1.0 + abs(pv) + abs(dv))
+
+    for it in range(1, max_iterations + 1):
+        iterations = it
+        rp, rd, xz, pv, dv, pinf, dinf, relgap = measure(x, y, z)
+        mu = xz / n
 
         # a primal residual that floors above tol (within ACCEPT_TOL) once
         # the rest has converged only grows from here: the steps leave the cone
@@ -363,12 +347,13 @@ def solve(
         try:
             # Nesterov-Todd scaling point W with W Z W = X.
             lx = _chol_psd(x)
-            mid = lx.T @ z @ lx
-            wmid, qmid = _eigh(0.5 * (mid + mid.T))
+            lz = _chol_psd(z)
+            mid = lx.conj().T @ z @ lx
+            wmid, qmid = _eigh(0.5 * (mid + mid.conj().T))
             wmid = np.clip(wmid, 1e-300, None)
             t = lx @ qmid
-            w = (t * wmid**-0.5) @ t.T
-            w = 0.5 * (w + w.T)
+            w = (t * wmid**-0.5) @ t.conj().T
+            w = 0.5 * (w + w.conj().T)
 
             schur = coords.schur(w)
             schur = 0.5 * (schur + schur.T)
@@ -396,26 +381,25 @@ def solve(
                 dy = solve_schur(rhs)
                 dz = rd - a_adj(dy)
                 dx = rc - w @ dz @ w
-                return 0.5 * (dx + dx.T), dy, 0.5 * (dz + dz.T)
+                return 0.5 * (dx + dx.conj().T), dy, 0.5 * (dz + dz.conj().T)
 
             # Predictor: pure affine step fixes the centering parameter.
             dxa, _, dza = newton(-x)
-            ap = _max_step(x, dxa, step_fraction)
-            ad = _max_step(z, dza, step_fraction)
-            mu_aff = max(0.0, float(np.sum((x + ap * dxa) * (z + ad * dza)))) / n
+            ap = _max_step(x, lx, dxa, step_fraction)
+            ad = _max_step(z, lz, dza, step_fraction)
+            mu_aff = max(0.0, float(np.vdot(z + ad * dza, x + ap * dxa).real)) / n
             sigma = min(1.0, max(1e-10, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
 
             # Corrector: recenter toward sigma*mu on the same factorization.
-            lz = _chol_psd(z)
             zinv = scipy.linalg.cho_solve((lz, True), eye_n, check_finite=False)
-            zinv = 0.5 * (zinv + zinv.T)
+            zinv = 0.5 * (zinv + zinv.conj().T)
             dx, dy, dz = newton(sigma * mu * zinv - x)
-            ap = _max_step(x, dx, step_fraction)
-            ad = _max_step(z, dz, step_fraction)
+            ap = _max_step(x, lx, dx, step_fraction)
+            ad = _max_step(z, lz, dz, step_fraction)
 
-            x = 0.5 * ((x + ap * dx) + (x + ap * dx).T)
+            x = 0.5 * ((x + ap * dx) + (x + ap * dx).conj().T)
             y = y + ad * dy
-            z = 0.5 * ((z + ad * dz) + (z + ad * dz).T)
+            z = 0.5 * ((z + ad * dz) + (z + ad * dz).conj().T)
         except np.linalg.LinAlgError:
             status = STATUS_NUMERICAL_FAILURE
             break
@@ -427,30 +411,20 @@ def solve(
         else:
             stall = 0
 
-    rp = b - a_op(x)
-    rd = cmat - z - a_adj(y)
-    pv = float(np.sum(cmat * x)) + float(y @ rp)
-    dv = float(b @ y)
-    pinf = float(np.linalg.norm(rp)) / (1.0 + norm_b)
-    dinf = float(np.linalg.norm(rd)) / (1.0 + norm_c)
-    relgap = float(np.sum(x * z)) / (1.0 + abs(pv) + abs(dv))
+    _, _, _, pv, dv, pinf, dinf, relgap = measure(x, y, z)
     # a stalled or interrupted iterate is accepted at the looser thresholds
     if status != STATUS_INFEASIBLE_SUSPECTED and (
         pinf <= ACCEPT_TOL and dinf <= ACCEPT_TOL and relgap <= ACCEPT_TOL and gap_ok(pv, dv)
     ):
         status = STATUS_OPTIMAL
 
-    x_h = _unembed(x, nc)
-    z_h = _unembed(z, nc)
-    pv_c = 0.5 * pv
-    dv_c = 0.5 * dv
     return SdpSolution(
-        X_star=HermitianOperator(x_h),
+        X_star=HermitianOperator(x),
         y_star=y.copy(),
-        Z_star=HermitianOperator(z_h),
-        primal_value=pv_c,
-        dual_value=dv_c,
-        gap=pv_c - dv_c,
+        Z_star=HermitianOperator(z),
+        primal_value=pv,
+        dual_value=dv,
+        gap=pv - dv,
         status=status,
         iterations=iterations,
     )

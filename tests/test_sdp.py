@@ -13,13 +13,14 @@ from minmaxent import (
     SdpSolution,
     SolverError,
     check_certificate,
+    cq_to_density,
     hermitian_basis,
     min_entropy,
     random_density,
     sdp,
     solve,
 )
-from minmaxent.entropy import _decoupling_problem, _guessing_problem, _min_entropy_problem
+from minmaxent.entropy import _decoupling_problem, _min_entropy_problem
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -240,8 +241,12 @@ class TestCertificate:
 
 BUILDERS = {
     "min_entropy_kron": lambda: _min_entropy_problem(random_density(6, 31).mat, 3, 2),
-    "guessing_block_diagonal": lambda: _guessing_problem(
-        CqEnsemble(np.array([0.5, 0.3, 0.2]), tuple(random_density(2, 30 + x) for x in range(3)))
+    "guessing_block_diagonal": lambda: _min_entropy_problem(
+        cq_to_density(
+            CqEnsemble(np.array([0.5, 0.3, 0.2]), tuple(random_density(2, 30 + x) for x in range(3)))
+        ).mat,
+        3,
+        2,
     ),
     "decoupling_three_block": lambda: _decoupling_problem(
         random_density(4, 32, rank=3).mat, 2, 2
@@ -251,32 +256,38 @@ BUILDERS = {
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 class TestConstraintCoords:
-    """The coordinate form against the dense embedded constraint matrices."""
+    """The coordinate form against the dense complex constraint matrices."""
 
     @staticmethod
     def dense(name: str) -> tuple[sdp._ConstraintCoords, np.ndarray]:
         p = BUILDERS[name]()
-        return p._coords, np.stack([sdp._embed(a.mat) for a, _ in p.constraints])
+        return p._coords, np.stack([a.mat for a, _ in p.constraints])
+
+    @staticmethod
+    def random_hermitian(n: int, seed: int) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return g @ g.conj().T / n
 
     def test_schur_matches_dense_definition(self, name):
         coords, amats = self.dense(name)
         n = amats.shape[1]
-        g = np.random.default_rng(40).standard_normal((n, n))
-        w = g @ g.T / n + 0.1 * np.eye(n)
+        w = self.random_hermitian(n, 40) + 0.1 * np.eye(n)
         waw = np.einsum("ab,jbc,cd->jad", w, amats, w)
-        ref = np.einsum("iab,jba->ij", amats, waw)
+        ref = np.einsum("iab,jba->ij", amats, waw).real
         h = coords.schur(w)
         assert np.max(np.abs(h - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_op_and_adjoint(self, name):
         coords, amats = self.dense(name)
         m, n = amats.shape[0], amats.shape[1]
-        rng = np.random.default_rng(41)
-        x, y = rng.standard_normal((n, n)), rng.standard_normal(m)
+        x = self.random_hermitian(n, 41)
+        y = np.random.default_rng(41).standard_normal(m)
         ax, aty = coords.op(x), coords.adj(y)
-        assert np.max(np.abs(ax - np.einsum("iab,ab->i", amats, x))) <= 1e-12
+        assert np.max(np.abs(ax - np.einsum("iab,ba->i", amats, x).real)) <= 1e-12
         assert np.max(np.abs(aty - np.einsum("i,iab->ab", y, amats))) <= 1e-12
-        assert abs(ax @ y - np.sum(x * aty)) <= 1e-12 * (1.0 + abs(ax @ y))
+        trace = float(np.trace(aty @ x).real)
+        assert abs(ax @ y - trace) <= 1e-12 * (1.0 + abs(ax @ y))
 
     def test_padding_is_the_largest_nonzero_count(self, name):
         coords, amats = self.dense(name)
@@ -296,7 +307,7 @@ def _fail_every_eigh_route(monkeypatch) -> None:
 
 def assert_eigendecomposition(a: np.ndarray, w: np.ndarray, v: np.ndarray, ref: np.ndarray):
     scale = float(np.max(np.abs(ref)))
-    assert np.max(np.abs(v.T @ v - np.eye(a.shape[0]))) <= 1e-12
+    assert np.max(np.abs(v.conj().T @ v - np.eye(a.shape[0]))) <= 1e-12
     assert np.linalg.norm(a @ v - v * w) <= 1e-12 * scale
     assert np.max(np.abs(w - ref)) <= 1e-12 * scale
 
@@ -304,9 +315,11 @@ def assert_eigendecomposition(a: np.ndarray, w: np.ndarray, v: np.ndarray, ref: 
 class TestEigenFallback:
     def test_nt_scaling_matrix_that_defeats_syevd(self):
         # the 72x72 NT-scaling matrix of the criterion-8 (seed 0, trial 19)
-        # max-entropy solve at iteration 17: finite, exactly symmetric,
-        # condition number ~237, yet OpenBLAS 0.3.31's syevd reports
-        # "Eigenvalues did not converge" on it at any thread count
+        # max-entropy solve at iteration 17, recorded when the solver still
+        # worked on the real symmetric embedding of the Hermitian iterates:
+        # finite, exactly symmetric, condition number ~237, yet OpenBLAS
+        # 0.3.31's syevd reports "Eigenvalues did not converge" on it at any
+        # thread count
         a = np.load(DATA / "nt_scaling_syevd_nonconvergence.npy")
         assert a.shape == (72, 72) and np.array_equal(a, a.T)
         ref = np.linalg.eigvalsh(a)
@@ -315,16 +328,21 @@ class TestEigenFallback:
         assert np.max(np.abs(sdp._eigh(a, vectors=False) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_fallback_routes_when_syevd_fails(self, monkeypatch):
-        a = np.load(DATA / "nt_scaling_syevd_nonconvergence.npy")
-        ref = np.linalg.eigvalsh(a)
+        # the recorded real matrix, and a complex Hermitian one as the
+        # solver's iterates are
+        g = np.random.default_rng(18).standard_normal((2, 12, 12))
+        g = g[0] + 1j * g[1]
+        mats = [np.load(DATA / "nt_scaling_syevd_nonconvergence.npy"), g @ g.conj().T]
+        refs = [np.linalg.eigvalsh(a) for a in mats]
+        scipy_eigh = scipy.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", _raise_linalg)
         monkeypatch.setattr(np.linalg, "eigvalsh", _raise_linalg)
-        w, v = sdp._eigh(a)
-        assert_eigendecomposition(a, w, v, ref)
-        assert np.max(np.abs(sdp._eigh(a, vectors=False) - ref)) <= 1e-12 * np.max(np.abs(ref))
+        for a, ref in zip(mats, refs):
+            w, v = sdp._eigh(a)
+            assert_eigendecomposition(a, w, v, ref)
+            assert np.max(np.abs(sdp._eigh(a, vectors=False) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
         # with evr failing as well, the QR driver still delivers
-        scipy_eigh = scipy.linalg.eigh
         drivers = []
 
         def evr_fails(s, *args, driver=None, **kwargs):
@@ -334,9 +352,11 @@ class TestEigenFallback:
             return scipy_eigh(s, *args, driver=driver, **kwargs)
 
         monkeypatch.setattr(scipy.linalg, "eigh", evr_fails)
-        w, v = sdp._eigh(a)
-        assert drivers == ["evr", "ev"]
-        assert_eigendecomposition(a, w, v, ref)
+        for a, ref in zip(mats, refs):
+            drivers.clear()
+            w, v = sdp._eigh(a)
+            assert drivers == ["evr", "ev"]
+            assert_eigendecomposition(a, w, v, ref)
 
     def test_every_route_failing_raises_linalg_error(self, monkeypatch):
         _fail_every_eigh_route(monkeypatch)
