@@ -260,9 +260,7 @@ def singlet_fraction(state: BipartiteState) -> tuple[float, RecoveryCertificate]
     return value, cert
 
 
-def _decoupling_problem(
-    rho: np.ndarray, d_a: int, d_b: int
-) -> tuple[sdp.HermitianSdp, HermitianOperator, int]:
+def _decoupling_problem(rho: np.ndarray, d_a: int, d_b: int) -> tuple[sdp.HermitianSdp, int]:
     """Joint SDP over (G, sigma) maximizing the root fidelity with tau (x) sigma.
 
     The block program max (1/2) tr(X + X†) over [[rho, X], [X†, omega]] >= 0
@@ -296,17 +294,12 @@ def _decoupling_problem(
     amat = np.zeros((n, n), dtype=complex)
     amat[r + d :, r + d :] = np.eye(d_b)
     cons.append((HermitianOperator(amat), 1.0))
-
-    x0 = np.zeros((n, n), dtype=complex)
-    x0[:r, :r] = s_block
-    x0[r : r + d, r : r + d] = np.eye(d) / d
-    x0[r + d :, r + d :] = np.eye(d_b) / d_b
-    return sdp.HermitianSdp(HermitianOperator(cmat), tuple(cons)), HermitianOperator(x0), r
+    return sdp.HermitianSdp(HermitianOperator(cmat), tuple(cons)), r
 
 
 def _decoupling_solve(rho: np.ndarray, d_a: int, d_b: int) -> tuple[float, np.ndarray, SdpSolution]:
-    problem, x0, r = _decoupling_problem(rho, d_a, d_b)
-    sol = sdp.solve(problem, x0=x0)
+    problem, r = _decoupling_problem(rho, d_a, d_b)
+    sol = sdp.solve(problem)
     _require_optimal(sol, "decoupling SDP")
     d = d_a * d_b
     sigma = sol.X_star.mat[r + d :, r + d :]

@@ -255,11 +255,7 @@ def fidelity_sdp(rho: DensityOperator, omega: DensityOperator) -> float:
         amat = np.zeros((n, n), dtype=complex)
         amat[r1:, r1:] = bk
         cons.append((HermitianOperator(amat), float(np.trace(bk @ s2).real)))
-    problem = sdp.HermitianSdp(HermitianOperator(cmat), tuple(cons))
-    x0 = np.zeros((n, n), dtype=complex)
-    x0[:r1, :r1] = s1
-    x0[r1:, r1:] = s2
-    sol = sdp.solve(problem, x0=HermitianOperator(x0))
+    sol = sdp.solve(sdp.HermitianSdp(HermitianOperator(cmat), tuple(cons)))
     if sol.status != sdp.STATUS_OPTIMAL:
         raise sdp.SolverError(f"fidelity SDP stopped with status {sol.status}", sol)
     return max(0.0, -sol.primal_value)

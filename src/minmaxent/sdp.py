@@ -227,8 +227,8 @@ def _chol_psd(s: np.ndarray) -> np.ndarray:
     raise np.linalg.LinAlgError("matrix is not positive definite")
 
 
-def _max_step(s: np.ndarray, ell: np.ndarray, d: np.ndarray, fraction: float) -> float:
-    """Largest alpha <= 1 with s + alpha*d staying (fraction-)inside the cone.
+def _max_step(s: np.ndarray, ell: np.ndarray, d: np.ndarray) -> float:
+    """Largest alpha <= 1 with s + alpha*d staying (STEP_FRACTION-)inside the cone.
 
     ell is the Cholesky factor of s from _chol_psd.  The estimate from it
     can overshoot when s is nearly singular (the factor may carry a
@@ -238,7 +238,7 @@ def _max_step(s: np.ndarray, ell: np.ndarray, d: np.ndarray, fraction: float) ->
     y = scipy.linalg.solve_triangular(ell, d, lower=True, check_finite=False)
     y = scipy.linalg.solve_triangular(ell, y.conj().T, lower=True, check_finite=False)
     wmin = float(_eigh(0.5 * (y + y.conj().T), vectors=False)[0])
-    alpha = 1.0 if wmin >= -1e-14 else min(1.0, -fraction / wmin)
+    alpha = 1.0 if wmin >= -1e-14 else min(1.0, -STEP_FRACTION / wmin)
     for _ in range(60):
         if alpha < 1e-14 or _eigh(s + alpha * d, vectors=False)[0] > 0.0:
             break
@@ -246,33 +246,25 @@ def _max_step(s: np.ndarray, ell: np.ndarray, d: np.ndarray, fraction: float) ->
     return alpha
 
 
-def solve(
-    problem: HermitianSdp,
-    x0: HermitianOperator | None = None,
-    tol: float = DEFAULT_TOL,
-    max_iterations: int = 200,
-    step_fraction: float = STEP_FRACTION,
-) -> SdpSolution:
+def solve(problem: HermitianSdp, max_iterations: int = 200) -> SdpSolution:
     """Run the interior-point iteration and return a matched certificate.
 
-    x0 optionally supplies a strictly feasible primal start (it must be
-    strictly positive definite; equality residuals then stay at rounding
-    level throughout).  On optimal certificates the dual value exceeds the
-    primal by at most 1e-7 * (1 + |primal| + |dual|), and by at most 1e-9
-    away from degenerate optimal faces; identical problem data yields
-    identical output.
+    The iteration starts from scaled identities (X = tau_p I, y = 0,
+    Z = tau_d I), which need not be feasible.  On optimal certificates
+    the dual value exceeds the primal by at most 1e-9; identical problem
+    data yields identical output.
 
     The returned status is one of
       "optimal"               the certificate meets the tolerances above;
       "max_iterations"        the iteration cap was hit or the steps stalled;
       "infeasible_suspected"  the iterates diverged past DIVERGENCE_LIMIT;
       "numerical_failure"     a factorization failed on every LAPACK route.
-    A run stops as "optimal" when the dual residual and gap meet tol and
-    the primal residual meets tol, or has stopped decreasing within
-    ACCEPT_TOL.  A stalled or interrupted run whose last iterate still
-    meets the acceptance thresholds reports "optimal".  Whatever the
-    status, the last completed iterate is returned as the certificate; no
-    LinAlgError from the iteration escapes.
+    A run stops as "optimal" once the primal and dual residuals and the
+    relative gap meet DEFAULT_TOL and dual_value <= primal_value + 1e-9.
+    A stalled or interrupted run whose last iterate meets the same test
+    at ACCEPT_TOL reports "optimal" too.  Whatever the status, the last
+    completed iterate is returned as the certificate; no LinAlgError from
+    the iteration escapes.
     """
     n = problem.dim
     m = problem.n_constraints
@@ -285,15 +277,8 @@ def solve(
     norm_b = float(np.linalg.norm(b))
     norm_c = float(np.linalg.norm(cmat))
 
-    if x0 is not None:
-        if x0.dim != n:
-            raise ValueError(f"x0 has dimension {x0.dim}, expected {n}")
-        x = x0.mat
-        if _eigh(x, vectors=False)[0] <= 1e-14:
-            x = max(1.0, np.sqrt(n)) * np.eye(n)
-    else:
-        tau_p = max(1.0, np.sqrt(n), n * float(np.max((1.0 + np.abs(b)) / (1.0 + anorms))))
-        x = tau_p * np.eye(n)
+    tau_p = max(1.0, np.sqrt(n), n * float(np.max((1.0 + np.abs(b)) / (1.0 + anorms))))
+    x = tau_p * np.eye(n)
     tau_d = max(1.0, np.sqrt(n), norm_c, float(np.max(anorms)))
     z = tau_d * np.eye(n)
     y = np.zeros(m)
@@ -302,13 +287,6 @@ def solve(
     status = STATUS_MAX_ITERATIONS
     iterations = 0
     stall = 0
-    pinf_prev = np.inf
-
-    def gap_ok(pv: float, dv: float) -> bool:
-        # on degenerate optimal faces the primal residual keeps a ~1e-9
-        # floor that can leave dv marginally above pv; accept once the gap
-        # is within the certificate tolerance in absolute value
-        return dv <= pv + 1e-9 or abs(pv - dv) <= ACCEPT_TOL * (1.0 + abs(pv) + abs(dv))
 
     def measure(x, y, z):
         rp = b - a_op(x)
@@ -328,13 +306,9 @@ def solve(
         rp, rd, xz, pv, dv, pinf, dinf, relgap = measure(x, y, z)
         mu = xz / n
 
-        # a primal residual that floors above tol (within ACCEPT_TOL) once
-        # the rest has converged only grows from here: the steps leave the cone
-        floored = tol < pinf <= ACCEPT_TOL and pinf >= pinf_prev
-        if (pinf <= tol or floored) and dinf <= tol and relgap <= tol and gap_ok(pv, dv):
+        if pinf <= DEFAULT_TOL and dinf <= DEFAULT_TOL and relgap <= DEFAULT_TOL and dv <= pv + 1e-9:
             status = STATUS_OPTIMAL
             break
-        pinf_prev = pinf
         if max(np.abs(x).max(), np.abs(z).max(), np.abs(y).max() if m else 0.0) > DIVERGENCE_LIMIT:
             status = STATUS_INFEASIBLE_SUSPECTED
             break
@@ -385,8 +359,8 @@ def solve(
 
             # Predictor: pure affine step fixes the centering parameter.
             dxa, _, dza = newton(-x)
-            ap = _max_step(x, lx, dxa, step_fraction)
-            ad = _max_step(z, lz, dza, step_fraction)
+            ap = _max_step(x, lx, dxa)
+            ad = _max_step(z, lz, dza)
             mu_aff = max(0.0, float(np.vdot(z + ad * dza, x + ap * dxa).real)) / n
             sigma = min(1.0, max(1e-10, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
 
@@ -394,8 +368,8 @@ def solve(
             zinv = scipy.linalg.cho_solve((lz, True), eye_n, check_finite=False)
             zinv = 0.5 * (zinv + zinv.conj().T)
             dx, dy, dz = newton(sigma * mu * zinv - x)
-            ap = _max_step(x, lx, dx, step_fraction)
-            ad = _max_step(z, lz, dz, step_fraction)
+            ap = _max_step(x, lx, dx)
+            ad = _max_step(z, lz, dz)
 
             x = 0.5 * ((x + ap * dx) + (x + ap * dx).conj().T)
             y = y + ad * dy
@@ -414,7 +388,7 @@ def solve(
     _, _, _, pv, dv, pinf, dinf, relgap = measure(x, y, z)
     # a stalled or interrupted iterate is accepted at the looser thresholds
     if status != STATUS_INFEASIBLE_SUSPECTED and (
-        pinf <= ACCEPT_TOL and dinf <= ACCEPT_TOL and relgap <= ACCEPT_TOL and gap_ok(pv, dv)
+        pinf <= ACCEPT_TOL and dinf <= ACCEPT_TOL and relgap <= ACCEPT_TOL and dv <= pv + 1e-9
     ):
         status = STATUS_OPTIMAL
 

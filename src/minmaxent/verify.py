@@ -10,7 +10,7 @@ shell and pytest always agree on what was checked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -474,17 +474,7 @@ def run_criterion(
             n = default_trials if trials is None else trials
             reports = func(seed, n)
             if tol is not None:
-                reports = [
-                    OracleReport(
-                        quantity=r.quantity,
-                        oracle_value=r.oracle_value,
-                        main_value=r.main_value,
-                        gap=r.gap,
-                        method=r.method,
-                        tolerance=tol,
-                    )
-                    for r in reports
-                ]
+                reports = [replace(r, tolerance=tol) for r in reports]
             return CriterionResult(index=idx, title=title, reports=tuple(reports))
     raise ValueError(f"no criterion with index {index}")
 

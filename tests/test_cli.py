@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 
 from minmaxent import cli
+from minmaxent import verify as verify_mod
 from minmaxent.cli import run
 
 
@@ -158,3 +159,24 @@ def test_escaping_linalg_error_exits_1_not_2(library, capsys, monkeypatch):
     monkeypatch.setattr(cli, "min_entropy", _raise_linalg)
     assert run(["hmin", "--input", str(library / "phi2.json")]) == 1
     assert "solver failure: injected failure" in capsys.readouterr().err
+
+
+def test_run_criterion_tolerance_override():
+    loose = verify_mod.run_criterion(1, trials=2, tol=1.0)
+    assert loose.reports and all(r.tolerance == 1.0 and r.passed for r in loose.reports)
+    strict = verify_mod.run_criterion(1, trials=2, tol=-1.0)
+    assert strict.reports and not any(r.passed for r in strict.reports)
+
+
+def test_run_criterion_unknown_index():
+    with pytest.raises(ValueError):
+        verify_mod.run_criterion(99)
+
+
+def test_verify_tol_flag_reaches_every_check(capsys, monkeypatch):
+    monkeypatch.setattr(verify_mod, "CRITERIA", verify_mod.CRITERIA[:1])
+    code = run(["verify", "--trials", "1", "--tol", "-1", "--format", "json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1 and out["all_passed"] is False
+    checks = out["criteria"][0]["checks"]
+    assert checks and all(c["tolerance"] == -1.0 and not c["passed"] for c in checks)

@@ -16,7 +16,7 @@ from minmaxent import (
     min_entropy,
     random_density,
 )
-from minmaxent.entropy import _min_entropy_problem
+from minmaxent.entropy import _decoupling_problem, _decoupling_solve, _min_entropy_problem
 from minmaxent.oracles import haar_isometry
 
 SETTINGS = settings(max_examples=12, derandomize=True, deadline=None)
@@ -60,6 +60,14 @@ def test_min_entropy_certificate_has_no_weak_duality_violation(state):
     problem = _min_entropy_problem(state.mat, state.d_A, state.d_B)
     report = check_certificate(problem, min_entropy(state).certificate)
     assert report.weak_duality_violation <= 1e-9
+
+
+@SETTINGS
+@given(states())
+def test_decoupling_certificate_has_no_weak_duality_violation(state):
+    problem, _ = _decoupling_problem(state.mat, state.d_A, state.d_B)
+    _, _, sol = _decoupling_solve(state.mat, state.d_A, state.d_B)
+    assert check_certificate(problem, sol).weak_duality_violation <= 1e-9
 
 
 @SETTINGS

@@ -120,13 +120,8 @@ class TestSolve:
         closed = float(np.trace(m2).real + np.sum(w[w > 0]))
         assert sol.primal_value == pytest.approx(closed, abs=1e-7)
 
-    def test_strictly_feasible_start_is_used(self):
-        rho = random_density(2, 8).mat
-        p = domination_problem(rho)
-        x0 = np.zeros((4, 4), dtype=complex)
-        x0[:2, :2] = 2.0 * np.eye(2)
-        x0[2:, 2:] = 2.0 * np.eye(2) - rho
-        sol = solve(p, x0=herm(x0))
+    def test_two_by_two_domination_from_default_start(self):
+        sol = solve(domination_problem(random_density(2, 8).mat))
         assert sol.status == "optimal"
         assert sol.primal_value == pytest.approx(1.0, abs=1e-7)
 
@@ -155,15 +150,13 @@ class TestSolve:
         assert v2 == pytest.approx(3.5 * v1, rel=1e-7)
 
     @pytest.mark.parametrize("seed", [38, 98])
-    def test_floored_primal_residual_stops_optimal(self, seed):
+    def test_former_floored_states_meet_weak_duality(self, seed):
         # from the feasible start id/d_A the primal residual of these 3x2
-        # min-entropy SDPs floors near 1e-8 once the gap has closed; the
-        # iteration used to run on until it left the cone
+        # min-entropy SDPs floors near 1e-8 once the gap has closed
         p = _min_entropy_problem(random_density(6, seed).mat, 3, 2)
-        ref = solve(p)
-        sol = solve(p, x0=herm(np.eye(6) / 3))
-        assert ref.status == sol.status == "optimal"
-        assert sol.dual_value == pytest.approx(ref.dual_value, abs=1e-8)
+        sol = solve(p)
+        assert sol.status == "optimal"
+        assert check_certificate(p, sol).weak_duality_violation <= 1e-9
 
     def test_max_iterations_status(self):
         sol = solve(domination_problem(random_density(3, 11).mat), max_iterations=2)
