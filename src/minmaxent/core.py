@@ -85,11 +85,13 @@ class HermitianOperator:
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
-    """A positive semidefinite Hermitian operator with unit trace."""
+    """A positive semidefinite Hermitian operator with unit trace and finite entries."""
 
     op: HermitianOperator
 
     def __post_init__(self) -> None:
+        if not np.all(np.isfinite(self.op.mat)):
+            raise ValueError("density operator has non-finite entries")
         evals = np.linalg.eigvalsh(self.op.mat)
         if evals[0] < -PSD_ATOL:
             raise ValueError(f"density operator has eigenvalue {evals[0]:.3e} < -{PSD_ATOL}")
@@ -147,6 +149,8 @@ class CqEnsemble:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 1 or p.size < 1:
             raise ValueError("probs must be a nonempty vector")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("probabilities must be finite")
         if np.any(p < -1e-12):
             raise ValueError("probabilities must be nonnegative")
         if abs(float(p.sum()) - 1.0) > TRACE_ATOL:

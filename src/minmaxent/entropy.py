@@ -11,18 +11,19 @@ is read from the multipliers.  The optimizer E is the Choi matrix of a
 completely positive unital map whose adjoint is the trace-preserving
 recovery channel achieving the best overlap with the maximally
 entangled state.  The max-entropy is minus the min-entropy of A
-conditioned on a purifying system, and equals the log of the decoupling
-accuracy d_A * max_sigma F(rho_AB, tau_A (x) sigma)^2, computed here
-directly through the semidefinite characterization of the root
-fidelity.  F always denotes the ROOT fidelity ||sqrt(r) sqrt(s)||_1,
-whose square is the overlap against pure states.  All logarithms are
-base 2 and every reported value carries its solver certificate.
+conditioned on a purifying system C, and equals the log of the
+decoupling accuracy d_A * max_sigma F(rho_AB, tau_A (x) sigma)^2, whose
+optimal sigma is read from the optimizer of that same min-entropy SDP on
+A (x) C: every quantity here is one SDP form.  F always denotes the
+ROOT fidelity ||sqrt(r) sqrt(s)||_1, whose square is the overlap
+against pure states.  All logarithms are base 2 and every reported
+value carries its solver certificate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,7 +38,6 @@ from .core import (
     _matrix_to_json,
     _partial_trace_mat,
     _root_fidelity_mats,
-    _support_isometry,
     cq_to_density,
     hermitian_basis,
     maximally_entangled,
@@ -188,10 +188,20 @@ def min_entropy(state: BipartiteState) -> EntropyReport:
     return _report_from_hmin("min_entropy", sol, sigma, e_ab, state.d_A, state.d_B)
 
 
-def _marginal_over_middle(psi: np.ndarray, d_a: int, d_b: int, d_c: int) -> np.ndarray:
-    amp = psi.reshape(d_a, d_b, d_c)
-    rho = np.einsum("abc,dbe->acde", amp, amp.conj()).reshape(d_a * d_c, d_a * d_c)
-    return 0.5 * (rho + rho.conj().T)
+def _solve_on_purification(
+    state: BipartiteState,
+) -> tuple[np.ndarray, SdpSolution, np.ndarray, np.ndarray]:
+    """The min-entropy SDP of rho_AC for a purification psi_ABC of rho_AB.
+
+    C has the dimension rank(rho_AB).  Returns the amplitudes psi[a, b, c],
+    the solution, and the optimal sigma on C and optimizer E on A (x) C.
+    """
+    d_a = state.d_A
+    amp = purify(state.rho).amplitudes.reshape(d_a, state.d_B, -1)
+    d_c = amp.shape[2]
+    rho_ac = np.einsum("abc,dbe->acde", amp, amp.conj()).reshape(d_a * d_c, d_a * d_c)
+    sol, sigma, e_ac = _solve_min_entropy_operator(0.5 * (rho_ac + rho_ac.conj().T), d_a, d_c)
+    return amp, sol, sigma, e_ac
 
 
 def max_entropy(state: BipartiteState) -> EntropyReport:
@@ -201,19 +211,9 @@ def max_entropy(state: BipartiteState) -> EntropyReport:
     carries the inner min-entropy certificate (its sigma lives on C and
     its optimizer E on A (x) C).
     """
-    psi = purify(state.rho)
-    d_c = psi.dim // (state.d_A * state.d_B)
-    rho_ac = _marginal_over_middle(psi.amplitudes, state.d_A, state.d_B, d_c)
-    sol, sigma, e_ac = _solve_min_entropy_operator(rho_ac, state.d_A, d_c)
-    inner = _report_from_hmin("max_entropy", sol, sigma, e_ac, state.d_A, d_c)
-    return EntropyReport(
-        quantity="max_entropy",
-        value_bits=-inner.value_bits,
-        certificate=inner.certificate,
-        optimizer_sigma=inner.optimizer_sigma,
-        dual_optimizer=inner.dual_optimizer,
-        gap=inner.gap,
-    )
+    amp, sol, sigma, e_ac = _solve_on_purification(state)
+    inner = _report_from_hmin("max_entropy", sol, sigma, e_ac, state.d_A, amp.shape[2])
+    return replace(inner, value_bits=-inner.value_bits)
 
 
 def guessing_probability(e: CqEnsemble) -> tuple[float, list[HermitianOperator]]:
@@ -260,64 +260,32 @@ def singlet_fraction(state: BipartiteState) -> tuple[float, RecoveryCertificate]
     return value, cert
 
 
-def _decoupling_problem(rho: np.ndarray, d_a: int, d_b: int) -> tuple[sdp.HermitianSdp, int]:
-    """Joint SDP over (G, sigma) maximizing the root fidelity with tau (x) sigma.
-
-    The block program max (1/2) tr(X + X†) over [[rho, X], [X†, omega]] >= 0
-    forces the columns of X into the support of rho, so the rho corner is
-    presolved onto that support (isometry U, S = U† rho U): the variable
-    becomes G = [[S, Xt], [Xt†, omega]] with objective Re tr(U Xt), which
-    is the same optimum but has strictly feasible points even when rho is
-    rank deficient.  omega = tau_A (x) sigma is tied to the trailing sigma
-    block by equality constraints, together with tr sigma = 1.
-    """
-    d = d_a * d_b
-    u = _support_isometry(rho)
-    r = u.shape[1]
-    s_block = u.conj().T @ rho @ u
-    basis_r = hermitian_basis(r)
-    basis_d = hermitian_basis(d)
-    n = r + d + d_b
-    cmat = np.zeros((n, n), dtype=complex)
-    cmat[:r, r : r + d] = -0.5 * u.conj().T
-    cmat[r : r + d, :r] = -0.5 * u
-    cons = []
-    for bk in basis_r:
-        amat = np.zeros((n, n), dtype=complex)
-        amat[:r, :r] = bk
-        cons.append((HermitianOperator(amat), float(np.trace(bk @ s_block).real)))
-    for bk in basis_d:
-        amat = np.zeros((n, n), dtype=complex)
-        amat[r : r + d, r : r + d] = bk
-        amat[r + d :, r + d :] = -_partial_trace_mat(bk, d_a, d_b, "B") / d_a
-        cons.append((HermitianOperator(amat), 0.0))
-    amat = np.zeros((n, n), dtype=complex)
-    amat[r + d :, r + d :] = np.eye(d_b)
-    cons.append((HermitianOperator(amat), 1.0))
-    return sdp.HermitianSdp(HermitianOperator(cmat), tuple(cons)), r
-
-
-def _decoupling_solve(rho: np.ndarray, d_a: int, d_b: int) -> tuple[float, np.ndarray, SdpSolution]:
-    problem, r = _decoupling_problem(rho, d_a, d_b)
-    sol = sdp.solve(problem)
-    _require_optimal(sol, "decoupling SDP")
-    d = d_a * d_b
-    sigma = sol.X_star.mat[r + d :, r + d :]
-    sigma = sigma / float(np.trace(sigma).real)
-    best_f = max(0.0, -sol.primal_value)
-    return d_a * best_f**2, sigma, sol
-
-
 def decoupling_accuracy(state: BipartiteState) -> tuple[float, DensityOperator]:
     """d_A * max_sigma F(rho_AB, tau_A (x) sigma)^2 over states sigma on B.
 
-    One joint SDP maximizes the root fidelity through its block-matrix
-    characterization F = max (1/2) tr(X + X†) subject to
-    [[rho, X], [X†, tau (x) sigma]] >= 0; the square is taken afterwards.
-    The value equals 2^(H_max(A|B)).
+    The optimal sigma is read from the min-entropy SDP of rho_AC on a
+    purification psi_ABC, the one max_entropy solves: with its optimizer
+    E (tr_A E = id_C), sigma is proportional to tr_AC[(E (x) id_B) psi psi†],
+    whose trace is tr(rho_AC E).  By Uhlmann's theorem d_A F^2 at this
+    sigma is at least tr(rho_AC E), which at the optimum is
+    2^(-H_min(A|C)) = 2^(H_max(A|B)).  The value returned is
+    d_A F(rho_AB, tau_A (x) sigma)^2 at the returned sigma, so it is a lower
+    bound whatever the solver's accuracy.  F is taken as the trace norm of
+    V† G for the factors rho_AB = V V† (V = psi) and tau (x) sigma = G G†,
+    not from matrix square roots, whose rounding on a rank-deficient rho_AB
+    is of order 1e-8.
     """
-    value, sigma, _ = _decoupling_solve(state.mat, state.d_A, state.d_B)
-    return value, DensityOperator.from_matrix(sigma)
+    amp, _, _, e_ac = _solve_on_purification(state)
+    d_a, _, d_c = amp.shape
+    w, v = np.linalg.eigh(e_ac)
+    k = (v * np.sqrt(np.clip(w, 0.0, None))).reshape(d_a, d_c, -1)
+    # E = K K†, so tr_AC[(E (x) id_B) psi psi†] = W W† with W = sum_ac psi K*
+    wb = np.einsum("abc,acj->bj", amp, k.conj())
+    t = float(np.linalg.norm(wb)) ** 2
+    # G = id_A (x) W / sqrt(d_A t), so d_A F^2 = ||V† (id_A (x) W)||_1^2 / t
+    vg = np.einsum("abc,bj->caj", amp.conj(), wb).reshape(d_c, -1)
+    value = float(np.sum(np.linalg.svd(vg, compute_uv=False))) ** 2 / t
+    return value, DensityOperator.from_matrix(wb @ wb.conj().T / t)
 
 
 def key_secrecy(e: CqEnsemble) -> float:

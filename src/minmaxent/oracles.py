@@ -224,22 +224,20 @@ def sampled_singlet_fraction(state: BipartiteState, samples: int, seed: int) -> 
     return state.d_A * sampled_target_fidelity(state, phi, samples, seed)
 
 
-def fidelity_sdp(rho: DensityOperator, omega: DensityOperator) -> float:
-    """Root fidelity via its block-matrix program, solved with the SDP engine.
+def _fidelity_problem(rho: np.ndarray, omega: np.ndarray) -> sdp.HermitianSdp:
+    """max (1/2) tr(X + X†) over [[rho, X], [X†, omega]] >= 0, in standard form.
 
-    maximize (1/2) tr(X + X†) over [[rho, X], [X†, omega]] >= 0; agrees
-    with the spectral formula ||sqrt(rho) sqrt(omega)||_1 to solver
-    accuracy and serves as its independent cross-check.  Positivity forces
-    X into the supports of the two corners, so the program is presolved
-    onto those supports (which keeps it strictly feasible for pure states).
+    Positivity forces X into the supports of the two corners, so the
+    program is presolved onto those supports (isometries U, V), which
+    keeps it strictly feasible for pure states.  The variable is the
+    two-block [[U† rho U, Xt], [Xt†, V† omega V]] with its diagonal blocks
+    fixed by equalities.
     """
-    if rho.dim != omega.dim:
-        raise ValueError("states must have equal dimensions")
-    u = _support_isometry(rho.mat)
-    v = _support_isometry(omega.mat)
+    u = _support_isometry(rho)
+    v = _support_isometry(omega)
     r1, r2 = u.shape[1], v.shape[1]
-    s1 = u.conj().T @ rho.mat @ u
-    s2 = v.conj().T @ omega.mat @ v
+    s1 = u.conj().T @ rho @ u
+    s2 = v.conj().T @ omega @ v
     n = r1 + r2
     # objective: maximize Re tr(V† U Xt) for the off-diagonal block Xt
     k = v.conj().T @ u
@@ -255,7 +253,18 @@ def fidelity_sdp(rho: DensityOperator, omega: DensityOperator) -> float:
         amat = np.zeros((n, n), dtype=complex)
         amat[r1:, r1:] = bk
         cons.append((HermitianOperator(amat), float(np.trace(bk @ s2).real)))
-    sol = sdp.solve(sdp.HermitianSdp(HermitianOperator(cmat), tuple(cons)))
+    return sdp.HermitianSdp(HermitianOperator(cmat), tuple(cons))
+
+
+def fidelity_sdp(rho: DensityOperator, omega: DensityOperator) -> float:
+    """Root fidelity via its block-matrix program, solved with the SDP engine.
+
+    Agrees with the spectral formula ||sqrt(rho) sqrt(omega)||_1 to solver
+    accuracy and serves as its independent cross-check.
+    """
+    if rho.dim != omega.dim:
+        raise ValueError("states must have equal dimensions")
+    sol = sdp.solve(_fidelity_problem(rho.mat, omega.mat))
     if sol.status != sdp.STATUS_OPTIMAL:
         raise sdp.SolverError(f"fidelity SDP stopped with status {sol.status}", sol)
     return max(0.0, -sol.primal_value)

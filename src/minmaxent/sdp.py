@@ -14,8 +14,9 @@ is an infeasible-start path-following method with Nesterov-Todd scaling
 (Todd, Toh and Tutuncu, SIAM J. Optim. 8, 1998) and a Mehrotra-style
 adaptive centering parameter.  Only equality constraints are supported:
 the min-entropy is posed in its form max tr(rho E) over E >= 0 with
-tr_A E = id_B, and the fidelity programs through block variables whose
-corners are tied by equalities.
+tr_A E = id_B (the max-entropy and the decoupling accuracy are read from
+it on a purification), and the fidelity cross-check of the oracles as a
+two-block variable whose diagonal blocks are fixed by equalities.
 
 The iterates are dense, but the constraints are not: each A_i is held
 in a padded coordinate form (its few complex nonzeros), and the Schur

@@ -227,7 +227,7 @@ def _crit_decoupling(seed: int, trials: int) -> list[OracleReport]:
                 oracle_value=hmax,
                 main_value=math.log2(value),
                 gap=abs(math.log2(value) - hmax),
-                method="purification route",
+                method="d_A F^2 at the sigma of the purified H_min optimizer",
                 tolerance=1e-6,
             )
         )
@@ -469,6 +469,8 @@ CRITERIA: list[tuple[int, str, int, object]] = [
 def run_criterion(
     index: int, seed: int = 0, trials: int | None = None, tol: float | None = None
 ) -> CriterionResult:
+    if trials is not None and trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     for idx, title, default_trials, func in CRITERIA:
         if idx == index:
             n = default_trials if trials is None else trials

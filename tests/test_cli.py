@@ -115,6 +115,22 @@ def test_wrong_structure_exits_2(tmp_path, capsys):
     assert run(["hmin", "--input", str(bad)]) == 2
 
 
+def test_non_finite_entries_exit_2(tmp_path, capsys):
+    # Python's json reads NaN; such a state used to solve (hmax exit 0, hmin exit 1)
+    state = tmp_path / "nan_state.json"
+    state.write_text(
+        '{"d_A": 2, "d_B": 2, "matrix": [[[NaN,0],[0,0],[0,0],[0,0]], [[0,0],[0.25,0],[0,0],[0,0]],'
+        ' [[0,0],[0,0],[0.25,0],[0,0]], [[0,0],[0,0],[0,0],[0.25,0]]]}'
+    )
+    ensemble = tmp_path / "nan_probs.json"
+    ensemble.write_text(
+        '{"probs": [0.5, NaN], "states": [[[[1,0],[0,0]],[[0,0],[0,0]]], [[[0,0],[0,0]],[[0,0],[1,0]]]]}'
+    )
+    for verb, path in (("hmin", state), ("hmax", state), ("pguess", ensemble), ("psecr", ensemble)):
+        assert run([verb, "--input", str(path)]) == 2
+        assert "finite" in capsys.readouterr().err
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     assert run(["hmin", "--input", str(tmp_path / "nope.json")]) == 2
 
@@ -171,6 +187,18 @@ def test_run_criterion_tolerance_override():
 def test_run_criterion_unknown_index():
     with pytest.raises(ValueError):
         verify_mod.run_criterion(99)
+
+
+def test_run_criterion_rejects_nonpositive_trials():
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match="trials"):
+            verify_mod.run_criterion(1, trials=trials)
+
+
+def test_verify_nonpositive_trials_exits_2(capsys):
+    assert run(["verify", "--trials", "-3"]) == 2
+    out = capsys.readouterr()
+    assert "PASS" not in out.out and "trials" in out.err
 
 
 def test_verify_tol_flag_reaches_every_check(capsys, monkeypatch):

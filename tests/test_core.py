@@ -61,6 +61,17 @@ class TestTypes:
         with pytest.raises(ValueError):
             DensityOperator.from_matrix(np.diag([0.7, 0.7]))
 
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, complex(0.0, np.nan)], ids=["nan", "inf", "imaginary_nan"]
+    )
+    def test_density_rejects_non_finite_entries(self, bad):
+        # NaN compares false against every bound, so each check alone passes it
+        for i, j in ((0, 0), (0, 1)):
+            mat = np.eye(2, dtype=complex) / 2.0
+            mat[i, j] = mat[j, i] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                DensityOperator.from_matrix(mat)
+
     def test_bipartite_dimension_split(self):
         rho = random_density(6, 0)
         BipartiteState(rho, 2, 3)
@@ -73,6 +84,9 @@ class TestTypes:
             CqEnsemble(np.array([0.9, 0.3]), (s2, s2))
         with pytest.raises(ValueError):
             CqEnsemble(np.array([0.5, 0.5]), (s2, random_density(3, 2)))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                CqEnsemble(np.array([0.5, bad]), (s2, s2))
 
     def test_pure_state_norm(self):
         with pytest.raises(ValueError):

@@ -12,11 +12,12 @@ from minmaxent import (
     DensityOperator,
     check_certificate,
     cq_to_density,
+    decoupling_accuracy,
     max_entropy,
     min_entropy,
     random_density,
 )
-from minmaxent.entropy import _decoupling_problem, _decoupling_solve, _min_entropy_problem
+from minmaxent.entropy import _min_entropy_problem
 from minmaxent.oracles import haar_isometry
 
 SETTINGS = settings(max_examples=12, derandomize=True, deadline=None)
@@ -64,10 +65,10 @@ def test_min_entropy_certificate_has_no_weak_duality_violation(state):
 
 @SETTINGS
 @given(states())
-def test_decoupling_certificate_has_no_weak_duality_violation(state):
-    problem, _ = _decoupling_problem(state.mat, state.d_A, state.d_B)
-    _, _, sol = _decoupling_solve(state.mat, state.d_A, state.d_B)
-    assert check_certificate(problem, sol).weak_duality_violation <= 1e-9
+def test_decoupling_accuracy_equals_two_to_the_max_entropy(state):
+    value, _ = decoupling_accuracy(state)
+    bound = 2.0 ** max_entropy(state).value_bits
+    assert abs(value - bound) <= TOL * (1.0 + bound)
 
 
 @SETTINGS

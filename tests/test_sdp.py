@@ -20,7 +20,8 @@ from minmaxent import (
     sdp,
     solve,
 )
-from minmaxent.entropy import _decoupling_problem, _min_entropy_problem
+from minmaxent.entropy import _min_entropy_problem
+from minmaxent.oracles import _fidelity_problem
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -241,9 +242,9 @@ BUILDERS = {
         3,
         2,
     ),
-    "decoupling_three_block": lambda: _decoupling_problem(
-        random_density(4, 32, rank=3).mat, 2, 2
-    )[0],
+    "fidelity_two_block": lambda: _fidelity_problem(
+        random_density(4, 32, rank=3).mat, random_density(4, 33).mat
+    ),
 }
 
 
