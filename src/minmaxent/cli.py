@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -34,6 +35,7 @@ from .core import (
 from .entropy import (
     decoupling_accuracy,
     guessing_probability,
+    key_secrecy,
     max_entropy,
     max_target_fidelity,
     min_entropy,
@@ -156,8 +158,6 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
             },
         )
     else:
-        from .entropy import key_secrecy
-
         value = key_secrecy(ens)
         _emit(
             args,
@@ -175,8 +175,6 @@ def _cmd_fidmax(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    import os
-
     outdir = args.input
     os.makedirs(outdir, exist_ok=True)
     written: list[str] = []

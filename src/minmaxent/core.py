@@ -265,18 +265,34 @@ def trace_norm(m: HermitianOperator) -> float:
     return float(np.sum(np.abs(np.linalg.eigvalsh(m.mat))))
 
 
+def _psd_factor(mat: np.ndarray) -> np.ndarray:
+    """V with V V† = mat, one column per eigenvalue above RANK_RTOL times the largest.
+
+    Columns follow the eigenvalues in descending order; at least one is kept.
+    """
+    w, v = np.linalg.eigh(mat)
+    w, v = w[::-1], v[:, ::-1]
+    cutoff = RANK_RTOL * max(w[0], 0.0)
+    rank = max(1, int(np.sum(w > cutoff)))
+    return v[:, :rank] * np.sqrt(np.clip(w[:rank], 0.0, None))
+
+
 def _root_fidelity_mats(a: np.ndarray, b: np.ndarray) -> float:
-    wa, va = np.linalg.eigh(a)
-    sa = (va * np.sqrt(np.clip(wa, 0.0, None))) @ va.conj().T
-    w = np.linalg.eigvalsh(sa @ b @ sa)
-    return float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
+    """||V_a† V_b||_1 for the support factors a = V_a V_a†, b = V_b V_b†.
+
+    Equal to ||sqrt(a) sqrt(b)||_1, but free of the square roots of
+    rounding-level eigenvalues that a rank-deficient a or b would add.
+    """
+    m = _psd_factor(a).conj().T @ _psd_factor(b)
+    return float(np.sum(np.linalg.svd(m, compute_uv=False)))
 
 
 def root_fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
-    """Root fidelity ||sqrt(rho) sqrt(sigma)||_1.
+    """Root fidelity ||sqrt(rho) sqrt(sigma)||_1, computed as ||V_rho† V_sigma||_1.
 
-    Its square is the overlap <psi|rho|psi> whenever sigma is the pure
-    state |psi><psi|.
+    V is the support factor of purify (rho = V V†; eigenvalues below
+    RANK_RTOL times the largest count as zero).  Its square is the
+    overlap <psi|rho|psi> whenever sigma is the pure state |psi><psi|.
     """
     if rho.dim != sigma.dim:
         raise ValueError("states must have equal dimensions")
@@ -289,12 +305,7 @@ def purify(rho: DensityOperator) -> PureState:
     Tracing out the appended ancilla recovers rho.  The ancilla index is
     minor (appended after the system index).
     """
-    w, v = np.linalg.eigh(rho.mat)
-    w, v = w[::-1], v[:, ::-1]
-    cutoff = RANK_RTOL * max(w[0], 0.0)
-    rank = max(1, int(np.sum(w > cutoff)))
-    w = np.clip(w[:rank], 0.0, None)
-    amp = (v[:, :rank] * np.sqrt(w)).reshape(-1)
+    amp = _psd_factor(rho.mat).reshape(-1)
     return PureState(amp / np.linalg.norm(amp))
 
 

@@ -1,10 +1,11 @@
 """Independent verifiers for the entropy quantities.
 
 Everything here is deliberately dumb and solver-free (the one exception,
-fidelity_sdp, exists to cross-check the spectral fidelity formula against
-the interior-point solver).  Closed forms use nothing but
-eigendecompositions; search oracles return one-sided bounds and are
-asserted as such, never as equalities.
+fidelity_sdp, exists to cross-check the factored fidelity formula
+||V_rho† V_omega||_1 of core.root_fidelity against the interior-point
+solver).  Closed forms use nothing but eigendecompositions; search
+oracles return one-sided bounds and are asserted as such, never as
+equalities.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from . import sdp
 from .channels import ChoiMatrix
@@ -103,6 +103,8 @@ def min_entropy_direct_search(state: BipartiteState, resolution: float = 1e-3) -
     Nelder-Mead refinement; any evaluated point upper-bounds the optimum,
     and the refinement brings the gap down to the order of `resolution`.
     """
+    import scipy.optimize  # imported here, its one use, to keep it out of `import minmaxent`
+
     d_a, d_b = state.d_A, state.d_B
     if d_b > 3:
         raise ValueError("direct search is limited to d_B <= 3")
@@ -259,8 +261,9 @@ def _fidelity_problem(rho: np.ndarray, omega: np.ndarray) -> sdp.HermitianSdp:
 def fidelity_sdp(rho: DensityOperator, omega: DensityOperator) -> float:
     """Root fidelity via its block-matrix program, solved with the SDP engine.
 
-    Agrees with the spectral formula ||sqrt(rho) sqrt(omega)||_1 to solver
-    accuracy and serves as its independent cross-check.
+    Agrees with the factored formula ||V_rho† V_omega||_1 (rho = V_rho V_rho†,
+    omega = V_omega V_omega†) of root_fidelity to solver accuracy and
+    serves as its independent cross-check.
     """
     if rho.dim != omega.dim:
         raise ValueError("states must have equal dimensions")

@@ -99,76 +99,46 @@ def _full_rank_target(d: int, seed: int) -> PureState:
     return PureState(amp.reshape(-1))
 
 
+def _row(
+    quantity: str,
+    oracle: float,
+    main: float,
+    method: str,
+    tolerance: float,
+    gap: float | None = None,
+) -> OracleReport:
+    """One check whose gap is |main - oracle|; one-sided checks pass their own gap."""
+    if gap is None:
+        gap = abs(main - oracle)
+    return OracleReport(quantity, oracle, main, gap, method, tolerance)
+
+
 def _crit_zero_gap(seed: int, trials: int) -> list[OracleReport]:
     rows = []
     for i, state in enumerate(_states(seed, trials)):
-        rep = min_entropy(state)
-        pv = rep.certificate.primal_value
-        rows.append(
-            OracleReport(
-                quantity=f"gap.t{i:02d}.{state.d_A}x{state.d_B}",
-                oracle_value=0.0,
-                main_value=rep.certificate.primal_value - rep.certificate.dual_value,
-                gap=abs(pv - rep.certificate.dual_value),
-                method="matched dual certificate",
-                tolerance=1e-6 * (1.0 + abs(pv)),
-            )
-        )
+        cert = min_entropy(state).certificate
+        pv, dv = cert.primal_value, cert.dual_value
+        tag = f"gap.t{i:02d}.{state.d_A}x{state.d_B}"
+        rows.append(_row(tag, 0.0, pv - dv, "matched dual certificate", 1e-6 * (1.0 + abs(pv))))
     return rows
 
 
 def _crit_guessing(seed: int, trials: int) -> list[OracleReport]:
     rows = []
     for i, ens in enumerate(_ensembles(seed, trials, binary=True)):
-        oracle = helstrom_guess_probability(float(ens.probs[0]), ens.cond_states[0], ens.cond_states[1])
-        rep = min_entropy(cq_to_density(ens))
-        main = 2.0 ** (-rep.value_bits)
+        p0, (rho0, rho1) = float(ens.probs[0]), ens.cond_states
+        oracle = helstrom_guess_probability(p0, rho0, rho1)
+        main = 2.0 ** (-min_entropy(cq_to_density(ens)).value_bits)
         value, _ = guessing_probability(ens)
+        rows.append(_row(f"pguess.t{i:02d}", oracle, main, "Helstrom spectral projector", 1e-6))
         rows.append(
-            OracleReport(
-                quantity=f"pguess.t{i:02d}",
-                oracle_value=oracle,
-                main_value=main,
-                gap=abs(main - oracle),
-                method="Helstrom spectral projector",
-                tolerance=1e-6,
-            )
-        )
-        rows.append(
-            OracleReport(
-                quantity=f"pguess.povm.t{i:02d}",
-                oracle_value=oracle,
-                main_value=value,
-                gap=abs(value - oracle),
-                method="Helstrom vs optimal POVM SDP",
-                tolerance=1e-6,
-            )
+            _row(f"pguess.povm.t{i:02d}", oracle, value, "Helstrom vs optimal POVM SDP", 1e-6)
         )
     ket0 = DensityOperator.from_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
     ketp = DensityOperator.from_matrix(np.full((2, 2), 0.5))
-    ens = CqEnsemble(np.array([0.5, 0.5]), (ket0, ketp))
-    rep = min_entropy(cq_to_density(ens))
-    p = 2.0 ** (-rep.value_bits)
-    rows.append(
-        OracleReport(
-            quantity="pguess.explicit",
-            oracle_value=0.853553,
-            main_value=p,
-            gap=abs(p - 0.853553),
-            method="half plus 1/(2 sqrt 2)",
-            tolerance=1e-6,
-        )
-    )
-    rows.append(
-        OracleReport(
-            quantity="hmin.explicit",
-            oracle_value=0.228447,
-            main_value=rep.value_bits,
-            gap=abs(rep.value_bits - 0.228447),
-            method="minus log2 of Helstrom value",
-            tolerance=1e-5,
-        )
-    )
+    hmin = min_entropy(cq_to_density(CqEnsemble(np.array([0.5, 0.5]), (ket0, ketp)))).value_bits
+    rows.append(_row("pguess.explicit", 0.853553, 2.0 ** (-hmin), "half plus 1/(2 sqrt 2)", 1e-6))
+    rows.append(_row("hmin.explicit", 0.228447, hmin, "minus log2 of Helstrom value", 1e-5))
     return rows
 
 
@@ -183,35 +153,14 @@ def _crit_recovery(seed: int, trials: int) -> list[OracleReport]:
         t = choi.op.mat.reshape(choi.d_in, choi.d_out, choi.d_in, choi.d_out)
         tp_res = float(np.max(np.abs(np.einsum("iaja->ij", t) - np.eye(choi.d_in))))
         tag = f"t{i:02d}.{state.d_A}x{state.d_B}"
+        cp_gap = max(0.0, -ev_min)
         rows.append(
-            OracleReport(
-                quantity=f"recovery_cp.{tag}",
-                oracle_value=0.0,
-                main_value=ev_min,
-                gap=max(0.0, -ev_min),
-                method="smallest Choi eigenvalue",
-                tolerance=1e-8,
-            )
+            _row(f"recovery_cp.{tag}", 0.0, ev_min, "smallest Choi eigenvalue", 1e-8, gap=cp_gap)
         )
+        rows.append(_row(f"recovery_tp.{tag}", 0.0, tp_res, "partial-trace residual", 1e-8))
+        achieved = state.d_A * cert.achieved_overlap
         rows.append(
-            OracleReport(
-                quantity=f"recovery_tp.{tag}",
-                oracle_value=0.0,
-                main_value=tp_res,
-                gap=tp_res,
-                method="partial-trace residual",
-                tolerance=1e-8,
-            )
-        )
-        rows.append(
-            OracleReport(
-                quantity=f"recovery_overlap.{tag}",
-                oracle_value=value,
-                main_value=state.d_A * cert.achieved_overlap,
-                gap=abs(state.d_A * cert.achieved_overlap - value),
-                method="channel applied from scratch",
-                tolerance=1e-6,
-            )
+            _row(f"recovery_overlap.{tag}", value, achieved, "channel applied from scratch", 1e-6)
         )
     return rows
 
@@ -222,135 +171,70 @@ def _crit_decoupling(seed: int, trials: int) -> list[OracleReport]:
         value, _ = decoupling_accuracy(state)
         hmax = max_entropy(state).value_bits
         rows.append(
-            OracleReport(
-                quantity=f"qdecpl.t{i:02d}.{state.d_A}x{state.d_B}",
-                oracle_value=hmax,
-                main_value=math.log2(value),
-                gap=abs(math.log2(value) - hmax),
-                method="d_A F^2 at the sigma of the purified H_min optimizer",
-                tolerance=1e-6,
+            _row(
+                f"qdecpl.t{i:02d}.{state.d_A}x{state.d_B}",
+                hmax,
+                math.log2(value),
+                "d_A F^2 at the sigma of the purified H_min optimizer",
+                1e-6,
             )
         )
     return rows
 
 
+def _product_state(seed: int, i: int, d_a: int, d_b: int) -> BipartiteState:
+    rho_a = random_density(d_a, 7129 * seed + 2 * i)
+    rho_b = random_density(d_b, 7129 * seed + 2 * i + 1)
+    return BipartiteState(DensityOperator.from_matrix(np.kron(rho_a.mat, rho_b.mat)), d_a, d_b)
+
+
+def _pure_state(seed: int, i: int, d_a: int, d_b: int) -> BipartiteState:
+    rng = np.random.default_rng(15013 * seed + i)
+    amp = rng.standard_normal(d_a * d_b) + 1j * rng.standard_normal(d_a * d_b)
+    amp /= np.linalg.norm(amp)
+    return BipartiteState(DensityOperator.from_matrix(np.outer(amp, amp.conj())), d_a, d_b)
+
+
+# (case, state maker, H_min oracle method, H_max oracle method)
+_CLOSED_FORM_CASES = (
+    ("product", _product_state, "largest marginal eigenvalue", "2 log2 tr sqrt of marginal"),
+    ("pure", _pure_state, "squared tr sqrt of marginal", "largest marginal eigenvalue"),
+)
+
+
 def _crit_closed_forms(seed: int, trials: int) -> list[OracleReport]:
     rows = []
-    for i in range(trials):
-        d_a, d_b = _DIMS[i % 4]
-        rho_a = random_density(d_a, 7129 * seed + 2 * i)
-        rho_b = random_density(d_b, 7129 * seed + 2 * i + 1)
-        state = BipartiteState(
-            DensityOperator.from_matrix(np.kron(rho_a.mat, rho_b.mat)), d_a, d_b
-        )
-        cf_min, cf_max = closed_form_entropies(state, "product")
-        sdp_min = min_entropy(state).value_bits
-        sdp_max = max_entropy(state).value_bits
-        rows.append(
-            OracleReport(
-                quantity=f"product_hmin.t{i:02d}",
-                oracle_value=cf_min,
-                main_value=sdp_min,
-                gap=abs(sdp_min - cf_min),
-                method="largest marginal eigenvalue",
-                tolerance=1e-6,
-            )
-        )
-        rows.append(
-            OracleReport(
-                quantity=f"product_hmax.t{i:02d}",
-                oracle_value=cf_max,
-                main_value=sdp_max,
-                gap=abs(sdp_max - cf_max),
-                method="2 log2 tr sqrt of marginal",
-                tolerance=1e-6,
-            )
-        )
-    for i in range(trials):
-        d_a, d_b = _DIMS[i % 4]
-        rng = np.random.default_rng(15013 * seed + i)
-        amp = rng.standard_normal(d_a * d_b) + 1j * rng.standard_normal(d_a * d_b)
-        amp /= np.linalg.norm(amp)
-        state = BipartiteState(
-            DensityOperator.from_matrix(np.outer(amp, amp.conj())), d_a, d_b
-        )
-        cf_min, cf_max = closed_form_entropies(state, "pure")
-        sdp_min = min_entropy(state).value_bits
-        sdp_max = max_entropy(state).value_bits
-        rows.append(
-            OracleReport(
-                quantity=f"pure_hmin.t{i:02d}",
-                oracle_value=cf_min,
-                main_value=sdp_min,
-                gap=abs(sdp_min - cf_min),
-                method="squared tr sqrt of marginal",
-                tolerance=1e-6,
-            )
-        )
-        rows.append(
-            OracleReport(
-                quantity=f"pure_hmax.t{i:02d}",
-                oracle_value=cf_max,
-                main_value=sdp_max,
-                gap=abs(sdp_max - cf_max),
-                method="largest marginal eigenvalue",
-                tolerance=1e-6,
-            )
-        )
+    entropies = (("hmin", min_entropy), ("hmax", max_entropy))
+    for case, make, *methods in _CLOSED_FORM_CASES:
+        for i in range(trials):
+            state = make(seed, i, *_DIMS[i % 4])
+            closed = closed_form_entropies(state, case)
+            for (name, entropy), oracle, method in zip(entropies, closed, methods):
+                main = entropy(state).value_bits
+                rows.append(_row(f"{case}_{name}.t{i:02d}", oracle, main, method, 1e-6))
     for d in (2, 3, 4):
-        phi = maximally_entangled(d)
-        state = BipartiteState(DensityOperator(phi.projector()), d, d)
-        expected = -math.log2(d)
-        hmin = min_entropy(state).value_bits
-        hmax = max_entropy(state).value_bits
-        for name, got in (("hmin", hmin), ("hmax", hmax)):
-            rows.append(
-                OracleReport(
-                    quantity=f"entangled_{name}.d{d}",
-                    oracle_value=expected,
-                    main_value=got,
-                    gap=abs(got - expected),
-                    method="minus log2 d",
-                    tolerance=1e-6,
-                )
-            )
+        state = BipartiteState(DensityOperator(maximally_entangled(d).projector()), d, d)
+        for name, entropy in entropies:
+            main = entropy(state).value_bits
+            rows.append(_row(f"entangled_{name}.d{d}", -math.log2(d), main, "minus log2 d", 1e-6))
     return rows
 
 
 def _crit_additivity(seed: int, trials: int) -> list[OracleReport]:
     rows = []
     for i in range(trials):
-        s1 = BipartiteState(random_density(4, 3851 * seed + 4 * i), 2, 2)
-        s2 = BipartiteState(random_density(4, 3851 * seed + 4 * i + 1), 2, 2)
-        joint = _pair_state(s1, s2)
-        total = min_entropy(joint).value_bits
-        parts = min_entropy(s1).value_bits + min_entropy(s2).value_bits
-        rows.append(
-            OracleReport(
-                quantity=f"additivity_hmin.t{i:02d}",
-                oracle_value=parts,
-                main_value=total,
-                gap=abs(total - parts),
-                method="independent factor solves",
-                tolerance=1e-6,
+        # rank-2 factors keep the purifying system of the joint H_max state small
+        for k, (name, entropy, rank) in enumerate(
+            (("hmin", min_entropy, None), ("hmax", max_entropy, 2))
+        ):
+            base = 3851 * seed + 4 * i + 2 * k
+            s1 = BipartiteState(random_density(4, base, rank=rank), 2, 2)
+            s2 = BipartiteState(random_density(4, base + 1, rank=rank), 2, 2)
+            total = entropy(_pair_state(s1, s2)).value_bits
+            parts = entropy(s1).value_bits + entropy(s2).value_bits
+            rows.append(
+                _row(f"additivity_{name}.t{i:02d}", parts, total, "independent factor solves", 1e-6)
             )
-        )
-        # rank-2 factors keep the purifying system of the joint state small
-        r1 = BipartiteState(random_density(4, 3851 * seed + 4 * i + 2, rank=2), 2, 2)
-        r2 = BipartiteState(random_density(4, 3851 * seed + 4 * i + 3, rank=2), 2, 2)
-        joint = _pair_state(r1, r2)
-        total = max_entropy(joint).value_bits
-        parts = max_entropy(r1).value_bits + max_entropy(r2).value_bits
-        rows.append(
-            OracleReport(
-                quantity=f"additivity_hmax.t{i:02d}",
-                oracle_value=parts,
-                main_value=total,
-                gap=abs(total - parts),
-                method="independent factor solves",
-                tolerance=1e-6,
-            )
-        )
     return rows
 
 
@@ -358,20 +242,17 @@ def _crit_strong_subadditivity(seed: int, trials: int) -> list[OracleReport]:
     rows = []
     for i in range(trials):
         rho = random_density(8, 27583 * seed + i)
-        tripartite = BipartiteState(rho, 2, 4)
-        h_abc = min_entropy(tripartite).value_bits
+        h_abc = min_entropy(BipartiteState(rho, 2, 4)).value_bits
         rho_ab = np.trace(rho.mat.reshape(4, 2, 4, 2), axis1=1, axis2=3)
-        h_ab = min_entropy(
-            BipartiteState(DensityOperator.from_matrix(rho_ab), 2, 2)
-        ).value_bits
+        h_ab = min_entropy(BipartiteState(DensityOperator.from_matrix(rho_ab), 2, 2)).value_bits
         rows.append(
-            OracleReport(
-                quantity=f"ssa.t{i:02d}",
-                oracle_value=h_ab,
-                main_value=h_abc,
+            _row(
+                f"ssa.t{i:02d}",
+                h_ab,
+                h_abc,
+                "conditioning on the larger system",
+                1e-7,
                 gap=max(0.0, h_abc - h_ab),
-                method="conditioning on the larger system",
-                tolerance=1e-7,
             )
         )
     return rows
@@ -383,16 +264,9 @@ def _crit_key_secrecy(seed: int, trials: int) -> list[OracleReport]:
         joint = cq_to_density(ens)
         _, sigma = decoupling_accuracy(joint)
         block = key_secrecy_block(ens, sigma)
-        hmax = max_entropy(joint).value_bits
+        oracle = 2.0 ** max_entropy(joint).value_bits
         rows.append(
-            OracleReport(
-                quantity=f"psecr.t{i:02d}",
-                oracle_value=2.0**hmax,
-                main_value=block,
-                gap=abs(block - 2.0**hmax),
-                method="block fidelity sum at the optimizer",
-                tolerance=1e-7,
-            )
+            _row(f"psecr.t{i:02d}", oracle, block, "block fidelity sum at the optimizer", 1e-7)
         )
     return rows
 
@@ -404,14 +278,7 @@ def _crit_target_fidelity(seed: int, trials: int) -> list[OracleReport]:
         best = max_target_fidelity(state, maximally_entangled(2))
         value, _ = singlet_fraction(state)
         rows.append(
-            OracleReport(
-                quantity=f"target_entangled.t{i:02d}",
-                oracle_value=value / 2.0,
-                main_value=best,
-                gap=abs(best - value / 2.0),
-                method="singlet fraction route",
-                tolerance=1e-7,
-            )
+            _row(f"target_entangled.t{i:02d}", value / 2.0, best, "singlet fraction route", 1e-7)
         )
     for i in range(trials):
         state = BipartiteState(random_density(4, 9377 * seed + 100 + i), 2, 2)
@@ -419,13 +286,13 @@ def _crit_target_fidelity(seed: int, trials: int) -> list[OracleReport]:
         best = max_target_fidelity(state, target)
         sampled = sampled_target_fidelity(state, target, samples=200, seed=17389 * seed + i)
         rows.append(
-            OracleReport(
-                quantity=f"target_sampled.t{i:02d}",
-                oracle_value=best,
-                main_value=sampled,
+            _row(
+                f"target_sampled.t{i:02d}",
+                best,
+                sampled,
+                "200 sampled channels (one-sided)",
+                1e-6,
                 gap=max(0.0, sampled - best),
-                method="200 sampled channels (one-sided)",
-                tolerance=1e-6,
             )
         )
     return rows
@@ -436,17 +303,15 @@ def _crit_direct_search(seed: int, trials: int) -> list[OracleReport]:
     for i in range(trials):
         d_a = [2, 3][i % 2]
         state = BipartiteState(random_density(2 * d_a, 20011 * seed + i), d_a, 2)
-        bound = min_entropy_direct_search(state, resolution=1e-3)
-        search_bits = -math.log2(bound)
+        search_bits = -math.log2(min_entropy_direct_search(state, resolution=1e-3))
         hmin = min_entropy(state).value_bits
         rows.append(
-            OracleReport(
-                quantity=f"search.t{i:02d}.{d_a}x2",
-                oracle_value=hmin,
-                main_value=search_bits,
-                gap=abs(search_bits - hmin),
-                method="Bloch grid + Nelder-Mead at resolution 1e-3",
-                tolerance=1e-2,
+            _row(
+                f"search.t{i:02d}.{d_a}x2",
+                hmin,
+                search_bits,
+                "Bloch grid + Nelder-Mead at resolution 1e-3",
+                1e-2,
             )
         )
     return rows

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -93,12 +95,15 @@ def test_fidmax(library, capsys):
 
 
 def test_json_output_is_deterministic(library, capsys):
-    argv = ["hmin", "--input", str(library / "random_2x3.json"), "--format", "json"]
-    assert run(argv) == 0
-    first = capsys.readouterr().out
-    assert run(argv) == 0
-    second = capsys.readouterr().out
-    assert first == second
+    for argv in (
+        ["hmin", "--input", str(library / "random_2x3.json"), "--format", "json"],
+        ["verify", "--seed", "7", "--trials", "1", "--format", "json"],
+    ):
+        assert run(argv) == 0
+        first = capsys.readouterr().out
+        assert run(argv) == 0
+        second = capsys.readouterr().out
+        assert first == second
 
 
 def test_malformed_file_exits_2_with_location(tmp_path, capsys):
@@ -153,8 +158,29 @@ def test_verify_small(capsys):
     assert code == 0
     assert out["all_passed"] is True
     assert len(out["criteria"]) == 10
+    # the gap rule: |main - oracle|, except the one-sided checks
+    one_sided = {
+        "recovery_cp.": lambda main, oracle: max(0.0, oracle - main),
+        "ssa.": lambda main, oracle: max(0.0, main - oracle),
+        "target_sampled.": lambda main, oracle: max(0.0, main - oracle),
+    }
     for crit in out["criteria"]:
         assert crit["passed"] is True
+        for check in crit["checks"]:
+            rule = next(
+                (f for prefix, f in one_sided.items() if check["quantity"].startswith(prefix)),
+                lambda main, oracle: abs(main - oracle),
+            )
+            assert check["gap"] == rule(check["main_value"], check["oracle_value"])
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    code = "import sys, minmaxent.cli; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def _raise_linalg(*args, **kwargs):

@@ -208,6 +208,17 @@ class TestNormsAndFidelity:
         ket0 = DensityOperator.from_matrix(np.diag([1.0, 0.0]))
         ketp = DensityOperator.from_matrix(np.full((2, 2), 0.5))
         assert root_fidelity(ket0, ketp) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
+        # seeded pure states against sigma of every rank, in both argument orders
+        for d in (2, 3, 4, 6):
+            for k in range(12):
+                rng = np.random.default_rng(5000 + 100 * d + k)
+                amp = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                psi = PureState(amp / np.linalg.norm(amp))
+                sigma = random_density(d, 6000 + 100 * d + k, rank=1 + k % d)
+                pure = DensityOperator(psi.projector())
+                want = math.sqrt(float((psi.amplitudes.conj() @ sigma.mat @ psi.amplitudes).real))
+                assert root_fidelity(pure, sigma) == pytest.approx(want, abs=1e-12)
+                assert root_fidelity(sigma, pure) == pytest.approx(want, abs=1e-12)
 
     def test_root_fidelity_matches_singular_values(self):
         # independent route: singular values of sqrt(rho) sqrt(sigma)
