@@ -210,16 +210,6 @@ def _partial_trace_mat(mat: np.ndarray, d_A: int, d_B: int, keep: str) -> np.nda
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
-def _support_isometry(rho: np.ndarray) -> np.ndarray:
-    """Isometry onto the support of a PSD matrix (eigenvalue cutoff 1e-12 relative)."""
-    w, v = np.linalg.eigh(rho)
-    cutoff = 1e-12 * max(float(w[-1]), 1e-300)
-    keep = w > cutoff
-    if not np.any(keep):
-        raise ValueError("operator has numerically empty support")
-    return v[:, keep]
-
-
 def partial_trace(m: HermitianOperator, d_A: int, d_B: int, keep: str) -> HermitianOperator:
     """Trace out one subsystem: keep='A' returns tr_B(m), keep='B' returns tr_A(m)."""
     if m.dim != d_A * d_B:

@@ -35,6 +35,7 @@ from .core import (
     DensityOperator,
     HermitianOperator,
     PureState,
+    RANK_RTOL,
     _matrix_to_json,
     _partial_trace_mat,
     _root_fidelity_mats,
@@ -112,7 +113,7 @@ def max_relative_entropy(tau: HermitianOperator, tau_prime: HermitianOperator) -
             raise ValueError(f"{name} has eigenvalue {ev:.3e}, not positive semidefinite")
     w, v = np.linalg.eigh(tau_prime.mat)
     w = np.clip(w, 0.0, None)
-    support = w > 1e-12 * max(float(w[-1]), 1e-300)
+    support = w > RANK_RTOL * max(float(w[-1]), 1e-300)
     leak = float(np.trace(tau.mat).real) - float(
         np.einsum("ij,jk,ki->", v[:, support].conj().T, tau.mat, v[:, support]).real
     )
@@ -323,9 +324,9 @@ def max_target_fidelity(state: BipartiteState, target: PureState) -> float:
         raise ValueError(f"target must live on A (x) A' with dimension {d_a * d_a}")
     amp = target.amplitudes.reshape(d_a, d_a)
     tau = amp @ amp.conj().T
-    if float(np.linalg.eigvalsh(tau)[0]) <= SCHMIDT_ATOL:
-        raise ValueError("target does not have full Schmidt rank")
     w, v = np.linalg.eigh(tau)
+    if float(w[0]) <= SCHMIDT_ATOL:
+        raise ValueError("target does not have full Schmidt rank")
     sqrt_tau = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
     conj = np.kron(sqrt_tau, np.eye(d_b))
     rho_tilde = d_a * (conj @ state.mat @ conj)

@@ -21,7 +21,7 @@ from .core import (
     DensityOperator,
     HermitianOperator,
     PureState,
-    _support_isometry,
+    _psd_factor,
     hermitian_basis,
     maximally_entangled,
 )
@@ -102,6 +102,12 @@ def min_entropy_direct_search(state: BipartiteState, resolution: float = 1e-3) -
     operators s on B (d_B <= 3) with a coarse grid followed by
     Nelder-Mead refinement; any evaluated point upper-bounds the optimum,
     and the refinement brings the gap down to the order of `resolution`.
+
+    Each refinement starts from a simplex with one step of 0.05 along
+    every coordinate of theta (a start has ||theta|| = 1).  scipy's
+    default steps 2.5e-4 along a zero coordinate, so the start at the
+    maximally mixed state, whose off-diagonal coordinates are zero, took
+    up to its 4000-iteration cap to leave it.
     """
     import scipy.optimize  # imported here, its one use, to keep it out of `import minmaxent`
 
@@ -143,6 +149,7 @@ def min_entropy_direct_search(state: BipartiteState, resolution: float = 1e-3) -
             theta0,
             method="Nelder-Mead",
             options={
+                "initial_simplex": np.vstack([theta0, theta0 + 0.05 * np.eye(theta0.size)]),
                 "xatol": resolution * 1e-2,
                 "fatol": resolution * 1e-3,
                 "maxiter": 4000,
@@ -230,13 +237,13 @@ def _fidelity_problem(rho: np.ndarray, omega: np.ndarray) -> sdp.HermitianSdp:
     """max (1/2) tr(X + X†) over [[rho, X], [X†, omega]] >= 0, in standard form.
 
     Positivity forces X into the supports of the two corners, so the
-    program is presolved onto those supports (isometries U, V), which
+    program is presolved onto those supports (isometries U, V: the
+    normalized columns of the support factors of core._psd_factor), which
     keeps it strictly feasible for pure states.  The variable is the
     two-block [[U† rho U, Xt], [Xt†, V† omega V]] with its diagonal blocks
     fixed by equalities.
     """
-    u = _support_isometry(rho)
-    v = _support_isometry(omega)
+    u, v = (f / np.linalg.norm(f, axis=0) for f in (_psd_factor(rho), _psd_factor(omega)))
     r1, r2 = u.shape[1], v.shape[1]
     s1 = u.conj().T @ rho @ u
     s2 = v.conj().T @ omega @ v

@@ -23,6 +23,11 @@ in a padded coordinate form (its few complex nonzeros), and the Schur
 matrix H_ij = Re tr(A_i W A_j W) of every iteration is built from those
 coordinates (Fujisawa, Kojima and Nakata, Math. Prog. 79, 1997), at
 O(m k n^2 + m^2 k) for k the largest nonzero count of an A_i.
+
+The iteration runs on numpy.linalg alone.  Each iteration factors X, Z
+and the Schur matrix by Cholesky once and inverts the factors, which
+then serve every step-length estimate, Z^-1 and every Schur solve.
+scipy is imported only by the eigensolver fallback in _eigh.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import HermitianOperator
 
@@ -202,12 +206,17 @@ def _eigh(s: np.ndarray, vectors: bool = True):
     returned unchanged whenever it converges.  Some LAPACK builds report
     "Eigenvalues did not converge" on benign, well-conditioned matrices,
     so scipy's MRRR (evr) and QR (ev) drivers are tried next; a
-    LinAlgError is raised only if every route fails.
+    LinAlgError is raised only if every route fails.  scipy is imported
+    here, its one use in the solver, to keep it out of `import minmaxent`.
     """
     try:
         return np.linalg.eigh(s) if vectors else np.linalg.eigvalsh(s)
     except np.linalg.LinAlgError:
         pass
+    import scipy.linalg
+
+    # check_finite=False: a non-finite iterate must end in a LinAlgError
+    # (a solver status), not in scipy's ValueError
     for driver in ("evr", "ev"):
         try:
             return scipy.linalg.eigh(
@@ -228,16 +237,16 @@ def _chol_psd(s: np.ndarray) -> np.ndarray:
     raise np.linalg.LinAlgError("matrix is not positive definite")
 
 
-def _max_step(s: np.ndarray, ell: np.ndarray, d: np.ndarray) -> float:
+def _max_step(s: np.ndarray, ell_inv: np.ndarray, d: np.ndarray) -> float:
     """Largest alpha <= 1 with s + alpha*d staying (STEP_FRACTION-)inside the cone.
 
-    ell is the Cholesky factor of s from _chol_psd.  The estimate from it
-    can overshoot when s is nearly singular (the factor may carry a
-    stabilizing shift), so the returned step is verified against an exact
-    eigenvalue check and shrunk if needed.
+    ell_inv is the inverse of the Cholesky factor L of s from _chol_psd,
+    so the estimate reads the spectrum of L^-1 d L^-†.  It can overshoot
+    when s is nearly singular (the factor may carry a stabilizing shift),
+    so the returned step is verified against an exact eigenvalue check
+    and shrunk if needed.
     """
-    y = scipy.linalg.solve_triangular(ell, d, lower=True, check_finite=False)
-    y = scipy.linalg.solve_triangular(ell, y.conj().T, lower=True, check_finite=False)
+    y = ell_inv @ d @ ell_inv.conj().T
     wmin = float(_eigh(0.5 * (y + y.conj().T), vectors=False)[0])
     alpha = 1.0 if wmin >= -1e-14 else min(1.0, -STEP_FRACTION / wmin)
     for _ in range(60):
@@ -284,7 +293,6 @@ def solve(problem: HermitianSdp, max_iterations: int = 200) -> SdpSolution:
     z = tau_d * np.eye(n)
     y = np.zeros(m)
 
-    eye_n = np.eye(n)
     status = STATUS_MAX_ITERATIONS
     iterations = 0
     stall = 0
@@ -316,13 +324,12 @@ def solve(problem: HermitianSdp, max_iterations: int = 200) -> SdpSolution:
 
         # Any LinAlgError left after the fallbacks in _eigh and _chol_psd
         # ends the loop; (x, y, z) are only replaced by a completed step.
-        # scipy's finiteness scans (check_finite) are skipped: on these small
-        # matrices they cost about as much as the LAPACK calls themselves, and
-        # a non-finite value still ends in a LinAlgError, not a ValueError.
         try:
             # Nesterov-Todd scaling point W with W Z W = X.
             lx = _chol_psd(x)
             lz = _chol_psd(z)
+            lx_inv = np.linalg.inv(lx)
+            lz_inv = np.linalg.inv(lz)
             mid = lx.conj().T @ z @ lx
             wmid, qmid = _eigh(0.5 * (mid + mid.conj().T))
             wmid = np.clip(wmid, 1e-300, None)
@@ -332,23 +339,21 @@ def solve(problem: HermitianSdp, max_iterations: int = 200) -> SdpSolution:
 
             schur = coords.schur(w)
             schur = 0.5 * (schur + schur.T)
+            reg = 1e-14 * max(float(np.trace(schur)) / m, 1.0)
             try:
-                schur_fac = scipy.linalg.cho_factor(
-                    schur + 1e-14 * max(float(np.trace(schur)) / m, 1.0) * np.eye(m),
-                    check_finite=False,
-                )
+                schur_inv = np.linalg.inv(np.linalg.cholesky(schur + reg * np.eye(m)))
             except np.linalg.LinAlgError:
-                schur_fac = None
+                schur_inv = None
 
             def solve_schur(rhs: np.ndarray) -> np.ndarray:
-                if schur_fac is None:
+                if schur_inv is None:
                     return np.linalg.lstsq(schur, rhs, rcond=None)[0]
-                dy = scipy.linalg.cho_solve(schur_fac, rhs, check_finite=False)
+                dy = schur_inv.T @ (schur_inv @ rhs)
                 # two rounds of iterative refinement against the unregularized
                 # Schur matrix; near the optimum it is severely ill-conditioned
                 for _ in range(2):
                     res = rhs - schur @ dy
-                    dy = dy + scipy.linalg.cho_solve(schur_fac, res, check_finite=False)
+                    dy = dy + schur_inv.T @ (schur_inv @ res)
                 return dy
 
             def newton(rc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -360,17 +365,17 @@ def solve(problem: HermitianSdp, max_iterations: int = 200) -> SdpSolution:
 
             # Predictor: pure affine step fixes the centering parameter.
             dxa, _, dza = newton(-x)
-            ap = _max_step(x, lx, dxa)
-            ad = _max_step(z, lz, dza)
+            ap = _max_step(x, lx_inv, dxa)
+            ad = _max_step(z, lz_inv, dza)
             mu_aff = max(0.0, float(np.vdot(z + ad * dza, x + ap * dxa).real)) / n
             sigma = min(1.0, max(1e-10, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
 
             # Corrector: recenter toward sigma*mu on the same factorization.
-            zinv = scipy.linalg.cho_solve((lz, True), eye_n, check_finite=False)
+            zinv = lz_inv.conj().T @ lz_inv
             zinv = 0.5 * (zinv + zinv.conj().T)
             dx, dy, dz = newton(sigma * mu * zinv - x)
-            ap = _max_step(x, lx, dx)
-            ad = _max_step(z, lz, dz)
+            ap = _max_step(x, lx_inv, dx)
+            ad = _max_step(z, lz_inv, dz)
 
             x = 0.5 * ((x + ap * dx) + (x + ap * dx).conj().T)
             y = y + ad * dy

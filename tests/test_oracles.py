@@ -111,6 +111,26 @@ class TestDirectSearch:
         hmin = min_entropy(state).value_bits
         assert bound >= 2.0 ** (-hmin) - 1e-9
 
+    def test_every_refinement_stops_early(self, monkeypatch):
+        # verify's criterion-10 state at seed 6: from the maximally mixed
+        # start, scipy's default simplex ran into the 4000-iteration cap
+        import scipy.optimize
+
+        minimize = scipy.optimize.minimize
+        nfev = []
+
+        def counted(*args, **kwargs):
+            res = minimize(*args, **kwargs)
+            nfev.append(res.nfev)
+            return res
+
+        monkeypatch.setattr(scipy.optimize, "minimize", counted)
+        state = BipartiteState(random_density(4, 20011 * 6), 2, 2)
+        bound = min_entropy_direct_search(state, resolution=1e-3)
+        assert len(nfev) == 7
+        assert max(nfev) < 1000
+        assert -math.log2(bound) == pytest.approx(min_entropy(state).value_bits, abs=1e-6)
+
     def test_large_b_rejected(self):
         with pytest.raises(ValueError):
             min_entropy_direct_search(random_state(2, 4, seed=5))

@@ -401,21 +401,43 @@ class TestEigenFallback:
         assert np.all(np.isfinite(sol.X_star.mat)) and np.all(np.isfinite(sol.y_star))
 
     def test_non_finite_newton_direction_is_a_numerical_failure(self, monkeypatch):
-        # a NaN out of a Schur solve reaches LAPACK, which reports the failure;
-        # it used to escape as scipy's ValueError about non-finite input
+        # a NaN Schur matrix reaches LAPACK, which reports the failure
         p = domination_problem(random_density(3, 16).mat)
-        cho_solve = scipy.linalg.cho_solve
+        schur = sdp._ConstraintCoords.schur
         calls = []
 
-        def nan_on_twentieth_call(*args, **kwargs):
+        def nan_on_fifth_call(self, w):
             calls.append(1)
-            out = cho_solve(*args, **kwargs)
-            return out * np.nan if len(calls) == 20 else out
+            out = schur(self, w)
+            return out * np.nan if len(calls) == 5 else out
 
-        monkeypatch.setattr(scipy.linalg, "cho_solve", nan_on_twentieth_call)
+        monkeypatch.setattr(sdp._ConstraintCoords, "schur", nan_on_fifth_call)
         sol = solve(p)
         assert sol.status == "numerical_failure"
         assert np.all(np.isfinite(sol.X_star.mat)) and np.all(np.isfinite(sol.y_star))
+
+    @pytest.mark.parametrize("d_a,d_b,seed", [(2, 3, 41), (3, 2, 42), (2, 4, 43), (4, 2, 44)])
+    def test_schur_lstsq_fallback_reaches_the_optimum(self, monkeypatch, d_a, d_b, seed):
+        # Cholesky fails on the m x m Schur matrix only (m = d_b^2 differs
+        # from n = d_a d_b), so every Newton system goes through lstsq
+        p = _min_entropy_problem(random_density(d_a * d_b, seed).mat, d_a, d_b)
+        m = p.n_constraints
+        assert m != p.dim
+        ref = solve(p)
+        cholesky = np.linalg.cholesky
+        schur_calls = []
+
+        def fails_on_schur(s, *args, **kwargs):
+            if s.shape == (m, m):
+                schur_calls.append(1)
+                raise np.linalg.LinAlgError("injected Schur failure")
+            return cholesky(s, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", fails_on_schur)
+        sol = solve(p)
+        assert len(schur_calls) == sol.iterations - 1
+        assert sol.status == ref.status == "optimal"
+        assert sol.dual_value == pytest.approx(ref.dual_value, abs=1e-9)
 
     def test_min_entropy_raises_solver_error(self, monkeypatch):
         state = BipartiteState(random_density(4, 17), 2, 2)
