@@ -63,8 +63,9 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 class HermitianOperator:
     """A dense complex square matrix, symmetrized to be exactly Hermitian.
 
-    Inputs whose anti-Hermitian part exceeds ``HERMITICITY_ATOL`` per entry
-    are rejected; smaller deviations are removed by storing (M + M†)/2.
+    Inputs with a non-finite entry, or whose anti-Hermitian part exceeds
+    ``HERMITICITY_ATOL`` per entry, are rejected; smaller deviations are
+    removed by storing (M + M†)/2.
     """
 
     mat: np.ndarray
@@ -73,6 +74,9 @@ class HermitianOperator:
         arr = np.asarray(self.mat, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+        # NaN compares false against the hermiticity bound, so test it first
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("matrix has non-finite entries")
         skew = float(np.max(np.abs(arr - arr.conj().T)))
         if skew > HERMITICITY_ATOL:
             raise ValueError(f"matrix is not Hermitian (max asymmetry {skew:.3e})")
@@ -90,8 +94,6 @@ class DensityOperator:
     op: HermitianOperator
 
     def __post_init__(self) -> None:
-        if not np.all(np.isfinite(self.op.mat)):
-            raise ValueError("density operator has non-finite entries")
         evals = np.linalg.eigvalsh(self.op.mat)
         if evals[0] < -PSD_ATOL:
             raise ValueError(f"density operator has eigenvalue {evals[0]:.3e} < -{PSD_ATOL}")

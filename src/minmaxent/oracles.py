@@ -21,6 +21,7 @@ from .core import (
     DensityOperator,
     HermitianOperator,
     PureState,
+    _partial_trace_mat,
     _psd_factor,
     hermitian_basis,
     maximally_entangled,
@@ -206,7 +207,7 @@ def sampled_target_fidelity(
         raise ValueError(f"target must have dimension {d_a * d_a}")
     rho = state.mat
     tvec = target.amplitudes
-    rho_a = np.trace(rho.reshape(d_a, d_b, d_a, d_b), axis1=1, axis2=3)
+    rho_a = _partial_trace_mat(rho, d_a, d_b, "A")
     tmat = tvec.reshape(d_a, d_a)
     # trace-and-prepare tau baseline: output rho_A (x) id/d_A
     best = float(np.einsum("ab,cd,ac,bd->", tmat.conj(), tmat, rho_a, np.eye(d_a) / d_a).real)

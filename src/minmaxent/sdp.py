@@ -24,10 +24,11 @@ matrix H_ij = Re tr(A_i W A_j W) of every iteration is built from those
 coordinates (Fujisawa, Kojima and Nakata, Math. Prog. 79, 1997), at
 O(m k n^2 + m^2 k) for k the largest nonzero count of an A_i.
 
-The iteration runs on numpy.linalg alone.  Each iteration factors X, Z
-and the Schur matrix by Cholesky once and inverts the factors, which
-then serve every step-length estimate, Z^-1 and every Schur solve.
-scipy is imported only by the eigensolver fallback in _eigh.
+The iteration runs on numpy.linalg alone.  A step is accepted only once
+the new X (or Z) factors by Cholesky, and each iteration inverts the
+factors X and Z were accepted with, and the Schur matrix's, once: they
+serve the NT scaling, every step-length estimate, Z^-1 and every Schur
+solve.  scipy is imported only by the eigensolver fallback in _eigh.
 """
 
 from __future__ import annotations
@@ -227,33 +228,27 @@ def _eigh(s: np.ndarray, vectors: bool = True):
     raise np.linalg.LinAlgError("Hermitian eigensolver failed on every LAPACK driver")
 
 
-def _chol_psd(s: np.ndarray) -> np.ndarray:
-    scale = max(float(np.trace(s).real) / s.shape[0], 1e-300)
-    for shift in (0.0, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6):
-        try:
-            return np.linalg.cholesky(s + shift * scale * np.eye(s.shape[0]))
-        except np.linalg.LinAlgError:
-            continue
-    raise np.linalg.LinAlgError("matrix is not positive definite")
+def _max_step(s: np.ndarray, ell_inv: np.ndarray, d: np.ndarray) -> tuple[float, np.ndarray]:
+    """Largest alpha <= 1 keeping s + alpha*d (STEP_FRACTION-)inside the cone, with its factor.
 
-
-def _max_step(s: np.ndarray, ell_inv: np.ndarray, d: np.ndarray) -> float:
-    """Largest alpha <= 1 with s + alpha*d staying (STEP_FRACTION-)inside the cone.
-
-    ell_inv is the inverse of the Cholesky factor L of s from _chol_psd,
-    so the estimate reads the spectrum of L^-1 d L^-†.  It can overshoot
-    when s is nearly singular (the factor may carry a stabilizing shift),
-    so the returned step is verified against an exact eigenvalue check
-    and shrunk if needed.
+    ell_inv is the inverse of the Cholesky factor L of s, so the estimate
+    reads the spectrum of L^-1 d L^-†.  A step is accepted only once
+    s + alpha*d has a finite Cholesky factor, which is returned with it;
+    each failed attempt shrinks alpha by 0.8, and LinAlgError is raised
+    when 60 attempts fail.
     """
     y = ell_inv @ d @ ell_inv.conj().T
     wmin = float(_eigh(0.5 * (y + y.conj().T), vectors=False)[0])
     alpha = 1.0 if wmin >= -1e-14 else min(1.0, -STEP_FRACTION / wmin)
     for _ in range(60):
-        if alpha < 1e-14 or _eigh(s + alpha * d, vectors=False)[0] > 0.0:
-            break
+        try:
+            ell = np.linalg.cholesky(s + alpha * d)
+            if np.isfinite(ell).all():  # numpy's Cholesky passes NaN through
+                return alpha, ell
+        except np.linalg.LinAlgError:
+            pass
         alpha *= 0.8
-    return alpha
+    raise np.linalg.LinAlgError("no step keeps the iterate positive definite")
 
 
 def solve(problem: HermitianSdp, max_iterations: int = 200) -> SdpSolution:
@@ -268,7 +263,8 @@ def solve(problem: HermitianSdp, max_iterations: int = 200) -> SdpSolution:
       "optimal"               the certificate meets the tolerances above;
       "max_iterations"        the iteration cap was hit or the steps stalled;
       "infeasible_suspected"  the iterates diverged past DIVERGENCE_LIMIT;
-      "numerical_failure"     a factorization failed on every LAPACK route.
+      "numerical_failure"     a factorization failed on every LAPACK route, or
+                              no step within 60 attempts kept X or Z factorizable.
     A run stops as "optimal" once the primal and dual residuals and the
     relative gap meet DEFAULT_TOL and dual_value <= primal_value + 1e-9.
     A stalled or interrupted run whose last iterate meets the same test
@@ -288,9 +284,9 @@ def solve(problem: HermitianSdp, max_iterations: int = 200) -> SdpSolution:
     norm_c = float(np.linalg.norm(cmat))
 
     tau_p = max(1.0, np.sqrt(n), n * float(np.max((1.0 + np.abs(b)) / (1.0 + anorms))))
-    x = tau_p * np.eye(n)
+    x, lx = tau_p * np.eye(n), np.sqrt(tau_p) * np.eye(n)
     tau_d = max(1.0, np.sqrt(n), norm_c, float(np.max(anorms)))
-    z = tau_d * np.eye(n)
+    z, lz = tau_d * np.eye(n), np.sqrt(tau_d) * np.eye(n)
     y = np.zeros(m)
 
     status = STATUS_MAX_ITERATIONS
@@ -322,12 +318,10 @@ def solve(problem: HermitianSdp, max_iterations: int = 200) -> SdpSolution:
             status = STATUS_INFEASIBLE_SUSPECTED
             break
 
-        # Any LinAlgError left after the fallbacks in _eigh and _chol_psd
-        # ends the loop; (x, y, z) are only replaced by a completed step.
+        # Any LinAlgError left after _eigh's fallbacks and _max_step's shrinking
+        # ends the loop; (x, lx, y, z, lz) are only replaced by a completed step.
         try:
             # Nesterov-Todd scaling point W with W Z W = X.
-            lx = _chol_psd(x)
-            lz = _chol_psd(z)
             lx_inv = np.linalg.inv(lx)
             lz_inv = np.linalg.inv(lz)
             mid = lx.conj().T @ z @ lx
@@ -365,8 +359,8 @@ def solve(problem: HermitianSdp, max_iterations: int = 200) -> SdpSolution:
 
             # Predictor: pure affine step fixes the centering parameter.
             dxa, _, dza = newton(-x)
-            ap = _max_step(x, lx_inv, dxa)
-            ad = _max_step(z, lz_inv, dza)
+            ap, _ = _max_step(x, lx_inv, dxa)
+            ad, _ = _max_step(z, lz_inv, dza)
             mu_aff = max(0.0, float(np.vdot(z + ad * dza, x + ap * dxa).real)) / n
             sigma = min(1.0, max(1e-10, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
 
@@ -374,12 +368,12 @@ def solve(problem: HermitianSdp, max_iterations: int = 200) -> SdpSolution:
             zinv = lz_inv.conj().T @ lz_inv
             zinv = 0.5 * (zinv + zinv.conj().T)
             dx, dy, dz = newton(sigma * mu * zinv - x)
-            ap = _max_step(x, lx_inv, dx)
-            ad = _max_step(z, lz_inv, dz)
+            ap, lx_next = _max_step(x, lx_inv, dx)
+            ad, lz_next = _max_step(z, lz_inv, dz)
 
-            x = 0.5 * ((x + ap * dx) + (x + ap * dx).conj().T)
+            x, lx = x + ap * dx, lx_next
             y = y + ad * dy
-            z = 0.5 * ((z + ad * dz) + (z + ad * dz).conj().T)
+            z, lz = z + ad * dz, lz_next
         except np.linalg.LinAlgError:
             status = STATUS_NUMERICAL_FAILURE
             break

@@ -19,6 +19,7 @@ from .core import (
     CqEnsemble,
     DensityOperator,
     PureState,
+    _partial_trace_mat,
     cq_to_density,
     maximally_entangled,
     random_density,
@@ -243,7 +244,7 @@ def _crit_strong_subadditivity(seed: int, trials: int) -> list[OracleReport]:
     for i in range(trials):
         rho = random_density(8, 27583 * seed + i)
         h_abc = min_entropy(BipartiteState(rho, 2, 4)).value_bits
-        rho_ab = np.trace(rho.mat.reshape(4, 2, 4, 2), axis1=1, axis2=3)
+        rho_ab = _partial_trace_mat(rho.mat, 4, 2, "A")
         h_ab = min_entropy(BipartiteState(DensityOperator.from_matrix(rho_ab), 2, 2)).value_bits
         rows.append(
             _row(

@@ -65,12 +65,14 @@ class TestTypes:
         "bad", [np.nan, np.inf, complex(0.0, np.nan)], ids=["nan", "inf", "imaginary_nan"]
     )
     def test_density_rejects_non_finite_entries(self, bad):
-        # NaN compares false against every bound, so each check alone passes it
+        # NaN compares false against every bound, so each check alone passes it;
+        # the bare Hermitian type rejects it before any of them
         for i, j in ((0, 0), (0, 1)):
             mat = np.eye(2, dtype=complex) / 2.0
             mat[i, j] = mat[j, i] = bad
-            with pytest.raises(ValueError, match="non-finite"):
-                DensityOperator.from_matrix(mat)
+            for build in (HermitianOperator, DensityOperator.from_matrix):
+                with pytest.raises(ValueError, match="non-finite"):
+                    build(mat)
 
     def test_bipartite_dimension_split(self):
         rho = random_density(6, 0)

@@ -290,6 +290,56 @@ class TestConstraintCoords:
         assert np.array_equal(np.count_nonzero(coords.v, axis=1), counts)
 
 
+class TestMaxStep:
+    """_max_step returns the accepted step length and the Cholesky factor there."""
+
+    @staticmethod
+    def pd_and_inverse_factor(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+        s = TestConstraintCoords.random_hermitian(n, seed) + 0.1 * np.eye(n)
+        return s, np.linalg.inv(np.linalg.cholesky(s))
+
+    def test_psd_direction_takes_the_full_step(self):
+        s, ell_inv = self.pd_and_inverse_factor(4, 50)
+        d = TestConstraintCoords.random_hermitian(4, 51)
+        alpha, ell = sdp._max_step(s, ell_inv, d)
+        assert alpha == 1.0
+        assert np.array_equal(ell, np.linalg.cholesky(s + d))
+
+    def test_factor_is_the_cholesky_factor_of_the_new_iterate(self):
+        s, ell_inv = self.pd_and_inverse_factor(5, 52)
+        d = -TestConstraintCoords.random_hermitian(5, 53)
+        alpha, ell = sdp._max_step(s, ell_inv, d)
+        assert 0.0 < alpha < 1.0
+        new = s + alpha * d
+        assert ell.tobytes() == np.linalg.cholesky(new).tobytes()
+        assert np.max(np.abs(ell @ ell.conj().T - new)) <= 1e-12 * np.max(np.abs(new))
+
+    def test_overshooting_estimate_is_shrunk_until_the_factor_exists(self):
+        # ell_inv belongs to 50 s, so the estimate reads a spectrum 50 times
+        # too small and asks for the full step, past the boundary of the cone
+        s, _ = self.pd_and_inverse_factor(4, 54)
+        ell_inv = np.linalg.inv(np.linalg.cholesky(50.0 * s))
+        d = -TestConstraintCoords.random_hermitian(4, 55)
+        y = ell_inv @ d @ ell_inv.conj().T
+        estimate = min(1.0, -sdp.STEP_FRACTION / np.linalg.eigvalsh(y)[0])
+        alpha, _ = sdp._max_step(s, ell_inv, d)
+        tried = [estimate]
+        while tried[-1] > alpha:
+            tried.append(tried[-1] * 0.8)
+        assert len(tried) >= 2 and tried[-1] == alpha
+        assert np.linalg.eigvalsh(s + alpha * d)[0] > 0.0
+        for a in tried[:-1]:
+            assert np.linalg.eigvalsh(s + a * d)[0] <= 0.0
+
+    def test_non_finite_factor_is_never_accepted(self, monkeypatch):
+        # numpy's Cholesky returns a NaN factor for NaN input instead of failing
+        s, ell_inv = self.pd_and_inverse_factor(3, 56)
+        d = TestConstraintCoords.random_hermitian(3, 57)
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: np.full_like(a, np.nan))
+        with pytest.raises(np.linalg.LinAlgError):
+            sdp._max_step(s, ell_inv, d)
+
+
 def _raise_linalg(*args, **kwargs):
     raise np.linalg.LinAlgError("injected failure")
 
