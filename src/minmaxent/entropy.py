@@ -132,13 +132,9 @@ def _require_optimal(sol: SdpSolution, what: str) -> None:
 
 
 def _min_entropy_problem(rho: np.ndarray, d_a: int, d_b: int) -> sdp.HermitianSdp:
-    """min tr(-rho E) s.t. tr((id_A (x) B_k) E) = tr B_k over the Hermitian basis of B."""
-    eye_a = np.eye(d_a)
-    cons = tuple(
-        (HermitianOperator(np.kron(eye_a, bk)), float(np.trace(bk).real))
-        for bk in hermitian_basis(d_b)
-    )
-    return sdp.HermitianSdp(HermitianOperator(-rho), cons)
+    """min tr(-rho E) s.t. tr_A E = id_B: weight 1 on each of the d_A diagonal blocks E_aa."""
+    family = ((1.0,) * d_a, HermitianOperator(np.eye(d_b)))
+    return sdp.HermitianSdp(HermitianOperator(-rho), (d_b,) * d_a, (family,))
 
 
 def _solve_min_entropy_operator(
@@ -189,22 +185,6 @@ def min_entropy(state: BipartiteState) -> EntropyReport:
     return _report_from_hmin("min_entropy", sol, sigma, e_ab, state.d_A, state.d_B)
 
 
-def _solve_on_purification(
-    state: BipartiteState,
-) -> tuple[np.ndarray, SdpSolution, np.ndarray, np.ndarray]:
-    """The min-entropy SDP of rho_AC for a purification psi_ABC of rho_AB.
-
-    C has the dimension rank(rho_AB).  Returns the amplitudes psi[a, b, c],
-    the solution, and the optimal sigma on C and optimizer E on A (x) C.
-    """
-    d_a = state.d_A
-    amp = purify(state.rho).amplitudes.reshape(d_a, state.d_B, -1)
-    d_c = amp.shape[2]
-    rho_ac = np.einsum("abc,dbe->acde", amp, amp.conj()).reshape(d_a * d_c, d_a * d_c)
-    sol, sigma, e_ac = _solve_min_entropy_operator(0.5 * (rho_ac + rho_ac.conj().T), d_a, d_c)
-    return amp, sol, sigma, e_ac
-
-
 def max_entropy(state: BipartiteState) -> EntropyReport:
     """H_max(A|B) = -H_min(A|C) evaluated on a purification over C.
 
@@ -212,8 +192,12 @@ def max_entropy(state: BipartiteState) -> EntropyReport:
     carries the inner min-entropy certificate (its sigma lives on C and
     its optimizer E on A (x) C).
     """
-    amp, sol, sigma, e_ac = _solve_on_purification(state)
-    inner = _report_from_hmin("max_entropy", sol, sigma, e_ac, state.d_A, amp.shape[2])
+    d_a = state.d_A
+    amp = purify(state.rho).amplitudes.reshape(d_a, state.d_B, -1)
+    d_c = amp.shape[2]
+    rho_ac = np.einsum("abc,dbe->acde", amp, amp.conj()).reshape(d_a * d_c, d_a * d_c)
+    sol, sigma, e_ac = _solve_min_entropy_operator(0.5 * (rho_ac + rho_ac.conj().T), d_a, d_c)
+    inner = _report_from_hmin("max_entropy", sol, sigma, e_ac, d_a, d_c)
     return replace(inner, value_bits=-inner.value_bits)
 
 
@@ -276,9 +260,16 @@ def decoupling_accuracy(state: BipartiteState) -> tuple[float, DensityOperator]:
     not from matrix square roots, whose rounding on a rank-deficient rho_AB
     is of order 1e-8.
     """
-    amp, _, _, e_ac = _solve_on_purification(state)
+    return _decoupling_at_optimizer(state, max_entropy(state))
+
+
+def _decoupling_at_optimizer(
+    state: BipartiteState, hmax: EntropyReport
+) -> tuple[float, DensityOperator]:
+    """decoupling_accuracy from the max_entropy report of the same state, without a solve."""
+    amp = purify(state.rho).amplitudes.reshape(state.d_A, state.d_B, -1)
     d_a, _, d_c = amp.shape
-    w, v = np.linalg.eigh(e_ac)
+    w, v = np.linalg.eigh(hmax.dual_optimizer.op.mat)
     k = (v * np.sqrt(np.clip(w, 0.0, None))).reshape(d_a, d_c, -1)
     # E = K K†, so tr_AC[(E (x) id_B) psi psi†] = W W† with W = sum_ac psi K*
     wb = np.einsum("abc,acj->bj", amp, k.conj())

@@ -254,16 +254,8 @@ def _fidelity_problem(rho: np.ndarray, omega: np.ndarray) -> sdp.HermitianSdp:
     cmat = np.zeros((n, n), dtype=complex)
     cmat[:r1, r1:] = -0.5 * k.conj().T
     cmat[r1:, :r1] = -0.5 * k
-    cons = []
-    for bk in hermitian_basis(r1):
-        amat = np.zeros((n, n), dtype=complex)
-        amat[:r1, :r1] = bk
-        cons.append((HermitianOperator(amat), float(np.trace(bk @ s1).real)))
-    for bk in hermitian_basis(r2):
-        amat = np.zeros((n, n), dtype=complex)
-        amat[r1:, r1:] = bk
-        cons.append((HermitianOperator(amat), float(np.trace(bk @ s2).real)))
-    return sdp.HermitianSdp(HermitianOperator(cmat), tuple(cons))
+    families = (((1.0, 0.0), HermitianOperator(s1)), ((0.0, 1.0), HermitianOperator(s2)))
+    return sdp.HermitianSdp(HermitianOperator(cmat), (r1, r2), families)
 
 
 def fidelity_sdp(rho: DensityOperator, omega: DensityOperator) -> float:

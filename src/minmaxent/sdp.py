@@ -12,17 +12,21 @@ together with the dual
 The iterates are complex Hermitian matrices throughout.  The iteration
 is an infeasible-start path-following method with Nesterov-Todd scaling
 (Todd, Toh and Tutuncu, SIAM J. Optim. 8, 1998) and a Mehrotra-style
-adaptive centering parameter.  Only equality constraints are supported:
-the min-entropy is posed in its form max tr(rho E) over E >= 0 with
-tr_A E = id_B (the max-entropy and the decoupling accuracy are read from
-it on a purification), and the fidelity cross-check of the oracles as a
-two-block variable whose diagonal blocks are fixed by equalities.
+adaptive centering parameter.  Only equality constraints are supported,
+in block families: X is cut into diagonal blocks X_ss, and a family
+(c, R) states sum_s c_s X_ss = R in the coordinates of the Hermitian
+basis B_k of R's size d.  The min-entropy, max tr(rho E) over E >= 0
+with tr_A E = id_B (the max-entropy and the decoupling accuracy are
+read from it on a purification), is one family weighting each of the
+d_A blocks by 1; the fidelity cross-check of the oracles fixes the two
+diagonal blocks of its variable with one family each.
 
-The iterates are dense, but the constraints are not: each A_i is held
-in a padded coordinate form (its few complex nonzeros), and the Schur
-matrix H_ij = Re tr(A_i W A_j W) of every iteration is built from those
-coordinates (Fujisawa, Kojima and Nakata, Math. Prog. 79, 1997), at
-O(m k n^2 + m^2 k) for k the largest nonzero count of an A_i.
+With U the basis matrix of a family (column k is vec B_k), A(X) is
+Re U^H vec(sum_s c_s X_ss), and A*(y) adds c_s reshape(U y) to each
+block.  The Schur matrix H = Re tr(A_i W A_j W) is Re(U_f^H G_fg U_g)
+per family pair, G_fg the reshuffled sum of c_fs c_gt kron(W_st, W_ts^T):
+one product of the gathered blocks, O(S^2 d^4) for S blocks of size d,
+then the basis change, O(d^6).
 
 The iteration runs on numpy.linalg alone.  A step is accepted only once
 the new X (or Z) factors by Cholesky, and each iteration inverts the
@@ -34,10 +38,11 @@ solve.  scipy is imported only by the eigensolver fallback in _eigh.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import HermitianOperator
+from .core import HermitianOperator, hermitian_basis
 
 __all__ = [
     "HermitianSdp",
@@ -63,7 +68,6 @@ STATUS_NUMERICAL_FAILURE = "numerical_failure"
 DEFAULT_TOL = 1e-9
 ACCEPT_TOL = 1e-7
 DIVERGENCE_LIMIT = 1e12
-GRAM_RANK_TOL = 1e-10
 STEP_FRACTION = 0.98
 
 
@@ -75,34 +79,59 @@ class SolverError(RuntimeError):
         self.solution = solution
 
 
+class _Family(NamedTuple):
+    """One family's share of the constraint map, derived once by HermitianSdp."""
+
+    y: slice  # its multipliers
+    rows: np.ndarray  # (weighted blocks, d): the indices of each block it weights
+    flat: np.ndarray  # (weighted blocks, d^2): the flat indices of those blocks in X
+    coef: np.ndarray  # their weights c_s
+    uh: np.ndarray  # U^H: row k is conj(vec B_k)
+    u: np.ndarray  # U: column k is vec B_k
+
+
 @dataclass(frozen=True, eq=False)
 class HermitianSdp:
-    """Equality-constrained SDP data: minimize tr(C X) s.t. tr(A_i X) = b_i, X >= 0.
+    """Block-family SDP data: minimize tr(C X) s.t. sum_s c_s X_ss = R per family, X >= 0.
 
-    All operators share one dimension and the A_i must be linearly
-    independent as real vectors, which is checked at construction via the
-    spectrum of their Gram matrix.  The constraints' coordinate form, which
-    solve() works with, is derived once here.
+    X is cut into diagonal blocks X_ss of the sizes in `blocks`, which sum
+    to the dimension of C.  A family (coefficients c, rhs R) stands for the
+    d^2 equalities tr(B_k sum_s c_s X_ss) = tr(B_k R) over the Hermitian
+    basis B_k of R's size d (core.hermitian_basis), and every block it
+    weights must have size d.  y runs family by family, then over k, so
+    sum_k y_k B_k over one family is its dual matrix.  The constraints are
+    linearly independent exactly when, size by size, the coefficient
+    vectors of the families are, which is checked here as a rank.
     """
 
     objective: HermitianOperator
-    constraints: tuple[tuple[HermitianOperator, float], ...]
+    blocks: tuple[int, ...]
+    families: tuple[tuple[tuple[float, ...], HermitianOperator], ...]
 
     def __post_init__(self) -> None:
-        cons = tuple((a, float(b)) for a, b in self.constraints)
-        if not cons:
-            raise ValueError("at least one constraint is required")
         n = self.objective.dim
-        for i, (a, _) in enumerate(cons):
-            if a.dim != n:
-                raise ValueError(f"constraint {i} has dimension {a.dim}, expected {n}")
-        coords = _ConstraintCoords.of([a.mat for a, _ in cons])
-        gram = coords.schur(np.eye(n))
-        evals = np.linalg.eigvalsh(gram)
-        if evals[0] <= GRAM_RANK_TOL * max(1.0, evals[-1]):
-            raise ValueError("constraint operators are linearly dependent")
-        object.__setattr__(self, "constraints", cons)
-        object.__setattr__(self, "_coords", coords)
+        blocks = tuple(int(d) for d in self.blocks)
+        fams = tuple((tuple(float(c) for c in coefs), rhs) for coefs, rhs in self.families)
+        if not fams or min(blocks, default=0) < 1 or sum(blocks) != n:
+            raise ValueError(f"need a family, and block sizes {blocks} partitioning dimension {n}")
+        for i, (coefs, rhs) in enumerate(fams):
+            if len(coefs) != len(blocks) or any(c and d != rhs.dim for c, d in zip(coefs, blocks)):
+                raise ValueError(f"family {i} must weight {len(blocks)} blocks, of size {rhs.dim}")
+        for d in {rhs.dim for _, rhs in fams}:
+            group = np.array([coefs for coefs, rhs in fams if rhs.dim == d])
+            if np.linalg.matrix_rank(group) < len(group):
+                raise ValueError("constraint operators are linearly dependent")
+        starts, maps, stop = np.cumsum((0,) + blocks), [], 0
+        for coefs, rhs in fams:
+            d, c = rhs.dim, np.array(coefs)
+            rows = starts[:-1][c != 0][:, None] + np.arange(d)
+            flat = (rows[:, :, None] * n + rows[:, None, :]).reshape(len(rows), -1)
+            u = hermitian_basis(d).reshape(d * d, d * d).T
+            maps.append(_Family(slice(stop, stop + d * d), rows, flat, c[c != 0], u.conj().T, u))
+            stop += d * d
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "families", fams)
+        object.__setattr__(self, "_maps", maps)
 
     @property
     def dim(self) -> int:
@@ -110,7 +139,38 @@ class HermitianSdp:
 
     @property
     def n_constraints(self) -> int:
-        return len(self.constraints)
+        return self._maps[-1].y.stop
+
+    def _op(self, x: np.ndarray) -> np.ndarray:
+        """A(X): per family, the weighted block sum M = sum_s c_s X_ss, then Re U^H vec M."""
+        return np.concatenate([(f.uh @ (f.coef @ x.take(f.flat))).real for f in self._maps])
+
+    def _adj(self, y: np.ndarray) -> np.ndarray:
+        """A*(y): per family, c_s reshape(U y_f) added onto each weighted block."""
+        out = np.zeros(self.dim**2, dtype=complex)
+        for f in self._maps:
+            out[f.flat] += f.coef[:, None] * (f.u @ y[f.y])
+        return out.reshape(self.dim, self.dim)
+
+    def _schur(self, w: np.ndarray) -> np.ndarray:
+        """H_ij = Re tr(A_i W A_j W) for Hermitian W, one family pair (f, g) at a time.
+
+        H_fg = Re(U_f^H G U_g) with G[(j,i),(m,n)] = sum_st c_fs c_gt W_st[j,m] W_ts[n,i],
+        a reshuffled sum of kron(W_st, W_ts^T) and so one (d_f d_g, S_f S_g) @
+        (S_f S_g, d_g d_f) product of the gathered blocks, W_ts being W_st^H.
+        """
+        h = np.empty((self.n_constraints,) * 2)
+        for i, f in enumerate(self._maps):
+            for g in self._maps[i:]:
+                wst = w.take(f.rows[:, :, None, None] * self.dim + g.rows)  # [s,j,t,m] = W_st[j,m]
+                nf, df, ng, dg = wst.shape
+                cc = f.coef[:, None, None, None] * g.coef[:, None]
+                left = (cc * wst).transpose(1, 3, 0, 2).reshape(df * dg, nf * ng)
+                right = wst.conj().transpose(0, 2, 3, 1).reshape(nf * ng, dg * df)
+                kr = (left @ right).reshape(df, dg, dg, df).transpose(0, 3, 1, 2)
+                h[f.y, g.y] = (f.uh @ kr.reshape(df * df, dg * dg) @ g.u).real
+                h[g.y, f.y] = h[f.y, g.y].T
+        return h
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,57 +207,6 @@ class CertificateReport:
     gap: float
     value_mismatch: float
     weak_duality_violation: float
-
-
-@dataclass(frozen=True, eq=False)
-class _ConstraintCoords:
-    """Hermitian constraints in padded coordinate form.
-
-    Row i lists the complex nonzeros of the n x n matrix A_i:
-    A_i = sum_k v[i, k] e_p[i, k] e_q[i, k]^T.  Rows shorter than the
-    longest are padded with v = 0 at (0, 0), which every sum ignores.
-    """
-
-    p: np.ndarray
-    q: np.ndarray
-    v: np.ndarray
-    n: int
-
-    @classmethod
-    def of(cls, mats: list[np.ndarray]) -> "_ConstraintCoords":
-        rows = [np.nonzero(a) for a in mats]
-        shape = (len(mats), max(len(pi) for pi, _ in rows))
-        p = np.zeros(shape, dtype=np.intp)
-        q = np.zeros(shape, dtype=np.intp)
-        v = np.zeros(shape, dtype=complex)
-        for i, (a, (pi, qi)) in enumerate(zip(mats, rows)):
-            p[i, : len(pi)], q[i, : len(pi)], v[i, : len(pi)] = pi, qi, a[pi, qi]
-        return cls(p, q, v, mats[0].shape[0])
-
-    def op(self, x: np.ndarray) -> np.ndarray:
-        """A(X)_i = tr(A_i X) = Re sum_k v_ik X[q_ik, p_ik] for Hermitian X."""
-        return np.einsum("ik,ik->i", self.v, x[self.q, self.p]).real
-
-    def adj(self, y: np.ndarray) -> np.ndarray:
-        """A*(y) = sum_i y_i A_i, a scatter-add of the real and imaginary parts."""
-        size = self.n * self.n
-        flat = (self.p * self.n + self.q).ravel()
-        weights = (y[:, None] * self.v).ravel()
-        re = np.bincount(flat, weights.real, minlength=size)
-        im = np.bincount(flat, weights.imag, minlength=size)
-        return (re + 1j * im).reshape(self.n, self.n)
-
-    def schur(self, w: np.ndarray) -> np.ndarray:
-        """H_ij = Re tr(A_i W A_j W) for Hermitian W.
-
-        W A_j W = sum_k v_jk W[:, p_jk] W[q_jk, :] is one batched
-        (m, n, k) @ (m, k, n) product, W[:, p] being w.T[p], and H_ij
-        gathers it at the nonzeros of A_i:
-        H_ij = Re sum_k v_ik (W A_j W)[q_ik, p_ik].
-        """
-        left = np.swapaxes(w.T[self.p] * self.v[:, :, None], 1, 2)
-        waw = left @ w[self.q]
-        return np.einsum("ik,jik->ij", self.v, waw[:, self.q, self.p]).real
 
 
 def _eigh(s: np.ndarray, vectors: bool = True):
@@ -275,11 +284,10 @@ def solve(problem: HermitianSdp, max_iterations: int = 200) -> SdpSolution:
     n = problem.dim
     m = problem.n_constraints
     cmat = problem.objective.mat
-    coords = problem._coords
-    a_op, a_adj = coords.op, coords.adj
-    b = np.array([bi for _, bi in problem.constraints])
-
-    anorms = np.linalg.norm(coords.v, axis=1)
+    a_op, a_adj, maps = problem._op, problem._adj, problem._maps
+    b = np.concatenate([(f.uh @ r.mat.ravel()).real for f, (_, r) in zip(maps, problem.families)])
+    # ||A_i||_F = ||c_f||_2 for every constraint of family f, the basis being orthonormal
+    anorms = np.concatenate([np.full(len(f.uh), np.linalg.norm(f.coef)) for f in maps])
     norm_b = float(np.linalg.norm(b))
     norm_c = float(np.linalg.norm(cmat))
 
@@ -331,7 +339,7 @@ def solve(problem: HermitianSdp, max_iterations: int = 200) -> SdpSolution:
             w = (t * wmid**-0.5) @ t.conj().T
             w = 0.5 * (w + w.conj().T)
 
-            schur = coords.schur(w)
+            schur = problem._schur(w)
             schur = 0.5 * (schur + schur.T)
             reg = 1e-14 * max(float(np.trace(schur)) / m, 1.0)
             try:
@@ -413,13 +421,19 @@ def check_certificate(problem: HermitianSdp, solution: SdpSolution) -> Certifica
     x = solution.X_star.mat
     z = solution.Z_star.mat
     y = solution.y_star
-    residuals = [
-        abs(float(np.trace(a.mat @ x).real) - b) for a, b in problem.constraints
-    ]
-    asum = sum(yi * a.mat for yi, (a, _) in zip(y, problem.constraints))
+    # every A_i written out densely: c_s B_k on each block s of its family
+    edges, cons = np.cumsum((0,) + problem.blocks), []
+    for coefs, rhs in problem.families:
+        for bk in hermitian_basis(rhs.dim):
+            a = np.zeros((problem.dim,) * 2, dtype=complex)
+            for c, lo, hi in zip(coefs, edges, edges[1:]):
+                a[lo:hi, lo:hi] = c * bk if c else 0.0
+            cons.append((a, float(np.trace(bk @ rhs.mat).real)))
+    residuals = [abs(float(np.trace(a @ x).real) - b) for a, b in cons]
+    asum = sum(yi * a for yi, (a, _) in zip(y, cons))
     dual_res = float(np.max(np.abs(problem.objective.mat - z - asum)))
     pv = float(np.trace(problem.objective.mat @ x).real)
-    dv = float(sum(yi * b for yi, (_, b) in zip(y, problem.constraints)))
+    dv = float(sum(yi * b for yi, (_, b) in zip(y, cons)))
     return CertificateReport(
         constraint_residual=max(residuals),
         dual_residual=dual_res,

@@ -25,8 +25,8 @@ from .core import (
     random_density,
 )
 from .entropy import (
+    _decoupling_at_optimizer,
     closed_form_entropies,
-    decoupling_accuracy,
     guessing_probability,
     key_secrecy_block,
     max_entropy,
@@ -169,12 +169,12 @@ def _crit_recovery(seed: int, trials: int) -> list[OracleReport]:
 def _crit_decoupling(seed: int, trials: int) -> list[OracleReport]:
     rows = []
     for i, state in enumerate(_states(seed, trials)):
-        value, _ = decoupling_accuracy(state)
-        hmax = max_entropy(state).value_bits
+        hmax = max_entropy(state)
+        value, _ = _decoupling_at_optimizer(state, hmax)
         rows.append(
             _row(
                 f"qdecpl.t{i:02d}.{state.d_A}x{state.d_B}",
-                hmax,
+                hmax.value_bits,
                 math.log2(value),
                 "d_A F^2 at the sigma of the purified H_min optimizer",
                 1e-6,
@@ -263,9 +263,10 @@ def _crit_key_secrecy(seed: int, trials: int) -> list[OracleReport]:
     rows = []
     for i, ens in enumerate(_ensembles(seed, trials)):
         joint = cq_to_density(ens)
-        _, sigma = decoupling_accuracy(joint)
+        hmax = max_entropy(joint)
+        _, sigma = _decoupling_at_optimizer(joint, hmax)
         block = key_secrecy_block(ens, sigma)
-        oracle = 2.0 ** max_entropy(joint).value_bits
+        oracle = 2.0 ** hmax.value_bits
         rows.append(
             _row(f"psecr.t{i:02d}", oracle, block, "block fidelity sum at the optimizer", 1e-7)
         )

@@ -18,7 +18,7 @@ from minmaxent import (
     random_density,
 )
 from minmaxent.entropy import _min_entropy_problem
-from minmaxent.oracles import haar_isometry
+from minmaxent.oracles import haar_isometry, random_cptp_choi
 
 SETTINGS = settings(max_examples=12, derandomize=True, deadline=None)
 TOL = 1e-7
@@ -53,6 +53,19 @@ def test_local_unitaries_leave_entropies_unchanged(state, seed):
     other = BipartiteState(DensityOperator.from_matrix(rotated), state.d_A, state.d_B)
     assert abs(min_entropy(other).value_bits - min_entropy(state).value_bits) <= TOL
     assert abs(max_entropy(other).value_bits - max_entropy(state).value_bits) <= TOL
+
+
+@SETTINGS
+@given(states(), st.integers(2, 3), st.integers(0, 2**32 - 1))
+def test_a_channel_on_b_does_not_decrease_the_entropies(state, d_out, seed):
+    # data processing: H(A|B) <= H(A|B') for B' = N(B), N a random channel
+    choi = random_cptp_choi(state.d_B, d_out, seed)
+    j = choi.op.mat.reshape(state.d_B, d_out, state.d_B, d_out)
+    r = state.mat.reshape(state.d_A, state.d_B, state.d_A, state.d_B)
+    out = np.einsum("abcd,bedf->aecf", r, j).reshape(state.d_A * d_out, -1)
+    processed = BipartiteState(DensityOperator.from_matrix(out), state.d_A, d_out)
+    assert min_entropy(processed).value_bits >= min_entropy(state).value_bits - TOL
+    assert max_entropy(processed).value_bits >= max_entropy(state).value_bits - TOL
 
 
 @SETTINGS

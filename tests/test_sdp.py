@@ -33,33 +33,16 @@ def herm(mat) -> HermitianOperator:
 def domination_problem(rho: np.ndarray) -> HermitianSdp:
     """min tr(sigma) s.t. sigma >= rho, as diag(sigma, slack) with slack = sigma - rho."""
     d = rho.shape[0]
-    n = 2 * d
-    cmat = np.zeros((n, n), dtype=complex)
-    cmat[:d, :d] = np.eye(d)
-    cons = []
-    for bk in hermitian_basis(d):
-        amat = np.zeros((n, n), dtype=complex)
-        amat[:d, :d] = -bk
-        amat[d:, d:] = bk
-        cons.append((herm(amat), -float(np.trace(bk @ rho).real)))
-    return HermitianSdp(herm(cmat), tuple(cons))
+    cmat = scipy.linalg.block_diag(np.eye(d), np.zeros((d, d)))
+    return HermitianSdp(herm(cmat), (d, d), (((-1.0, 1.0), herm(-rho)),))
 
 
 def double_domination_problem(m1: np.ndarray, m2: np.ndarray) -> HermitianSdp:
     """min tr(sigma) s.t. sigma >= m1 and sigma >= m2 (two slack blocks)."""
     d = m1.shape[0]
-    n = 3 * d
-    cmat = np.zeros((n, n), dtype=complex)
-    cmat[:d, :d] = np.eye(d)
-    cons = []
-    for target, mat in ((1, m1), (2, m2)):
-        lo, hi = target * d, (target + 1) * d
-        for bk in hermitian_basis(d):
-            amat = np.zeros((n, n), dtype=complex)
-            amat[:d, :d] = -bk
-            amat[lo:hi, lo:hi] = bk
-            cons.append((herm(amat), -float(np.trace(bk @ mat).real)))
-    return HermitianSdp(herm(cmat), tuple(cons))
+    cmat = scipy.linalg.block_diag(np.eye(d), np.zeros((2 * d, 2 * d)))
+    families = (((-1.0, 1.0, 0.0), herm(-m1)), ((-1.0, 0.0, 1.0), herm(-m2)))
+    return HermitianSdp(herm(cmat), (d, d, d), families)
 
 
 def grid_search_double_domination(m1: np.ndarray, m2: np.ndarray) -> float:
@@ -94,9 +77,7 @@ def grid_search_double_domination(m1: np.ndarray, m2: np.ndarray) -> float:
 class TestSolve:
     def test_scalar_bound(self):
         # min x s.t. x >= 3, slack block keeps the cone one-dimensional
-        p = HermitianSdp(
-            herm(np.diag([1.0, 0.0])), ((herm(np.diag([1.0, -1.0])), 3.0),)
-        )
+        p = HermitianSdp(herm(np.diag([1.0, 0.0])), (1, 1), (((1.0, -1.0), herm([[3.0]])),))
         sol = solve(p)
         assert sol.status == "optimal"
         assert sol.primal_value == pytest.approx(3.0, abs=1e-7)
@@ -145,7 +126,7 @@ class TestSolve:
     def test_scale_covariance(self):
         rho = random_density(3, 10).mat
         p1 = domination_problem(rho)
-        scaled = HermitianSdp(herm(3.5 * p1.objective.mat), p1.constraints)
+        scaled = HermitianSdp(herm(3.5 * p1.objective.mat), p1.blocks, p1.families)
         v1 = solve(p1).primal_value
         v2 = solve(scaled).primal_value
         assert v2 == pytest.approx(3.5 * v1, rel=1e-7)
@@ -171,20 +152,20 @@ class TestSolve:
 
     def test_infeasible_detected(self):
         # tr(X e11) = -1 is impossible for X >= 0, dual ray diverges
-        a = np.zeros((2, 2), dtype=complex)
-        a[0, 0] = 1.0
-        p = HermitianSdp(herm(np.eye(2)), ((herm(a), -1.0),))
+        p = HermitianSdp(herm(np.eye(2)), (1, 1), (((1.0, 0.0), herm([[-1.0]])),))
         sol = solve(p)
         assert sol.status == "infeasible_suspected"
 
     def test_linearly_dependent_constraints_rejected(self):
-        a = herm(np.eye(2))
+        # two families on one block with proportional coefficients
+        families = (((1.0,), herm(np.eye(2))), ((2.0,), herm(2.0 * np.eye(2))))
         with pytest.raises(ValueError, match="dependent"):
-            HermitianSdp(herm(np.eye(2)), ((a, 1.0), (a, 2.0)))
+            HermitianSdp(herm(np.eye(2)), (2,), families)
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            HermitianSdp(herm(np.eye(2)), ((herm(np.eye(3)), 1.0),))
+        # block sizes that do not sum to the dimension of the objective
+        with pytest.raises(ValueError, match="partition"):
+            HermitianSdp(herm(np.eye(2)), (3,), (((1.0,), herm(np.eye(3))),))
 
 
 class TestCertificate:
@@ -245,17 +226,27 @@ BUILDERS = {
     "fidelity_two_block": lambda: _fidelity_problem(
         random_density(4, 32, rank=3).mat, random_density(4, 33).mat
     ),
+    "domination": lambda: domination_problem(random_density(3, 34).mat),
+    "double_domination": lambda: double_domination_problem(
+        random_density(2, 35).mat, random_density(2, 36).mat
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 class TestConstraintCoords:
-    """The coordinate form against the dense complex constraint matrices."""
+    """The block-family map, in Hermitian-basis coordinates, against the dense constraint matrices."""
 
     @staticmethod
-    def dense(name: str) -> tuple[sdp._ConstraintCoords, np.ndarray]:
+    def dense(name: str) -> tuple[HermitianSdp, np.ndarray]:
+        # A_i = block_diag(c_1 B_k, ..., c_S B_k) for family (c, rhs), B_k over rhs's basis
         p = BUILDERS[name]()
-        return p._coords, np.stack([a.mat for a, _ in p.constraints])
+        amats = [
+            scipy.linalg.block_diag(*(c * bk if c else np.zeros((d, d)) for c, d in zip(coefs, p.blocks)))
+            for coefs, rhs in p.families
+            for bk in hermitian_basis(rhs.dim)
+        ]
+        return p, np.stack(amats)
 
     @staticmethod
     def random_hermitian(n: int, seed: int) -> np.ndarray:
@@ -264,30 +255,25 @@ class TestConstraintCoords:
         return g @ g.conj().T / n
 
     def test_schur_matches_dense_definition(self, name):
-        coords, amats = self.dense(name)
+        p, amats = self.dense(name)
         n = amats.shape[1]
         w = self.random_hermitian(n, 40) + 0.1 * np.eye(n)
         waw = np.einsum("ab,jbc,cd->jad", w, amats, w)
         ref = np.einsum("iab,jba->ij", amats, waw).real
-        h = coords.schur(w)
+        h = p._schur(w)
         assert np.max(np.abs(h - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_op_and_adjoint(self, name):
-        coords, amats = self.dense(name)
+        p, amats = self.dense(name)
         m, n = amats.shape[0], amats.shape[1]
+        assert (m, n) == (p.n_constraints, p.dim)
         x = self.random_hermitian(n, 41)
         y = np.random.default_rng(41).standard_normal(m)
-        ax, aty = coords.op(x), coords.adj(y)
+        ax, aty = p._op(x), p._adj(y)
         assert np.max(np.abs(ax - np.einsum("iab,ba->i", amats, x).real)) <= 1e-12
         assert np.max(np.abs(aty - np.einsum("i,iab->ab", y, amats))) <= 1e-12
         trace = float(np.trace(aty @ x).real)
         assert abs(ax @ y - trace) <= 1e-12 * (1.0 + abs(ax @ y))
-
-    def test_padding_is_the_largest_nonzero_count(self, name):
-        coords, amats = self.dense(name)
-        counts = np.count_nonzero(amats.reshape(amats.shape[0], -1), axis=1)
-        assert coords.v.shape == (amats.shape[0], counts.max())
-        assert np.array_equal(np.count_nonzero(coords.v, axis=1), counts)
 
 
 class TestMaxStep:
@@ -453,7 +439,7 @@ class TestEigenFallback:
     def test_non_finite_newton_direction_is_a_numerical_failure(self, monkeypatch):
         # a NaN Schur matrix reaches LAPACK, which reports the failure
         p = domination_problem(random_density(3, 16).mat)
-        schur = sdp._ConstraintCoords.schur
+        schur = HermitianSdp._schur
         calls = []
 
         def nan_on_fifth_call(self, w):
@@ -461,7 +447,7 @@ class TestEigenFallback:
             out = schur(self, w)
             return out * np.nan if len(calls) == 5 else out
 
-        monkeypatch.setattr(sdp._ConstraintCoords, "schur", nan_on_fifth_call)
+        monkeypatch.setattr(HermitianSdp, "_schur", nan_on_fifth_call)
         sol = solve(p)
         assert sol.status == "numerical_failure"
         assert np.all(np.isfinite(sol.X_star.mat)) and np.all(np.isfinite(sol.y_star))
