@@ -192,13 +192,18 @@ def max_entropy(state: BipartiteState) -> EntropyReport:
     carries the inner min-entropy certificate (its sigma lives on C and
     its optimizer E on A (x) C).
     """
+    return _max_entropy_purified(state)[0]
+
+
+def _max_entropy_purified(state: BipartiteState) -> tuple[EntropyReport, np.ndarray]:
+    """max_entropy's report and the amplitudes psi[a, b, c] of the purification it solved on."""
     d_a = state.d_A
     amp = purify(state.rho).amplitudes.reshape(d_a, state.d_B, -1)
     d_c = amp.shape[2]
     rho_ac = np.einsum("abc,dbe->acde", amp, amp.conj()).reshape(d_a * d_c, d_a * d_c)
     sol, sigma, e_ac = _solve_min_entropy_operator(0.5 * (rho_ac + rho_ac.conj().T), d_a, d_c)
     inner = _report_from_hmin("max_entropy", sol, sigma, e_ac, d_a, d_c)
-    return replace(inner, value_bits=-inner.value_bits)
+    return replace(inner, value_bits=-inner.value_bits), amp
 
 
 def guessing_probability(e: CqEnsemble) -> tuple[float, list[HermitianOperator]]:
@@ -260,14 +265,11 @@ def decoupling_accuracy(state: BipartiteState) -> tuple[float, DensityOperator]:
     not from matrix square roots, whose rounding on a rank-deficient rho_AB
     is of order 1e-8.
     """
-    return _decoupling_at_optimizer(state, max_entropy(state))
+    return _decoupling_at_optimizer(*_max_entropy_purified(state))
 
 
-def _decoupling_at_optimizer(
-    state: BipartiteState, hmax: EntropyReport
-) -> tuple[float, DensityOperator]:
-    """decoupling_accuracy from the max_entropy report of the same state, without a solve."""
-    amp = purify(state.rho).amplitudes.reshape(state.d_A, state.d_B, -1)
+def _decoupling_at_optimizer(hmax: EntropyReport, amp: np.ndarray) -> tuple[float, DensityOperator]:
+    """decoupling_accuracy from _max_entropy_purified's report and amplitudes, without a solve."""
     d_a, _, d_c = amp.shape
     w, v = np.linalg.eigh(hmax.dual_optimizer.op.mat)
     k = (v * np.sqrt(np.clip(w, 0.0, None))).reshape(d_a, d_c, -1)

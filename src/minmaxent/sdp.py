@@ -29,10 +29,11 @@ one product of the gathered blocks, O(S^2 d^4) for S blocks of size d,
 then the basis change, O(d^6).
 
 The iteration runs on numpy.linalg alone.  A step is accepted only once
-the new X (or Z) factors by Cholesky, and each iteration inverts the
-factors X and Z were accepted with, and the Schur matrix's, once: they
-serve the NT scaling, every step-length estimate, Z^-1 and every Schur
-solve.  scipy is imported only by the eigensolver fallback in _eigh.
+the new X (or Z) factors by Cholesky; the predictor's step is never
+taken and only estimated.  Each iteration inverts the factors X and Z
+were accepted with, and the Schur matrix's, once: they serve the NT
+scaling, every step-length estimate, Z^-1 and every Schur solve.  scipy
+is imported only by the eigensolver fallback in _eigh.
 """
 
 from __future__ import annotations
@@ -68,7 +69,9 @@ STATUS_NUMERICAL_FAILURE = "numerical_failure"
 DEFAULT_TOL = 1e-9
 ACCEPT_TOL = 1e-7
 DIVERGENCE_LIMIT = 1e12
-STEP_FRACTION = 0.98
+# STEP_FRACTION: per minent-batch cycle (benchmark seeds 1-4), 0.98 took 804-829
+# iterations, an adaptive 0.9 + 0.09 min(alpha) 740-757, and 0.95 takes 715-741.
+STEP_FRACTION = 0.95
 
 
 class SolverError(RuntimeError):
@@ -129,17 +132,14 @@ class HermitianSdp:
             u = hermitian_basis(d).reshape(d * d, d * d).T
             maps.append(_Family(slice(stop, stop + d * d), rows, flat, c[c != 0], u.conj().T, u))
             stop += d * d
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "families", fams)
-        object.__setattr__(self, "_maps", maps)
-
-    @property
-    def dim(self) -> int:
-        return self.objective.dim
-
-    @property
-    def n_constraints(self) -> int:
-        return self._maps[-1].y.stop
+        # _schur's gather indices and coefficient products, per family pair (f, g)
+        pairs = [
+            (f, g, f.rows[:, :, None, None] * n + g.rows, np.outer(f.coef, g.coef)[:, None, :, None])
+            for i, f in enumerate(maps)
+            for g in maps[i:]
+        ]
+        self.__dict__.update(blocks=blocks, families=fams, _maps=maps, _pairs=pairs)  # frozen dataclass
+        self.__dict__.update(dim=n, n_constraints=stop)  # X is dim x dim; y has n_constraints
 
     def _op(self, x: np.ndarray) -> np.ndarray:
         """A(X): per family, the weighted block sum M = sum_s c_s X_ss, then Re U^H vec M."""
@@ -160,16 +160,14 @@ class HermitianSdp:
         (S_f S_g, d_g d_f) product of the gathered blocks, W_ts being W_st^H.
         """
         h = np.empty((self.n_constraints,) * 2)
-        for i, f in enumerate(self._maps):
-            for g in self._maps[i:]:
-                wst = w.take(f.rows[:, :, None, None] * self.dim + g.rows)  # [s,j,t,m] = W_st[j,m]
-                nf, df, ng, dg = wst.shape
-                cc = f.coef[:, None, None, None] * g.coef[:, None]
-                left = (cc * wst).transpose(1, 3, 0, 2).reshape(df * dg, nf * ng)
-                right = wst.conj().transpose(0, 2, 3, 1).reshape(nf * ng, dg * df)
-                kr = (left @ right).reshape(df, dg, dg, df).transpose(0, 3, 1, 2)
-                h[f.y, g.y] = (f.uh @ kr.reshape(df * df, dg * dg) @ g.u).real
-                h[g.y, f.y] = h[f.y, g.y].T
+        for f, g, index, cc in self._pairs:
+            wst = w.take(index)  # [s,j,t,m] = W_st[j,m]
+            nf, df, ng, dg = wst.shape
+            left = (cc * wst).transpose(1, 3, 0, 2).reshape(df * dg, nf * ng)
+            right = wst.conj().transpose(0, 2, 3, 1).reshape(nf * ng, dg * df)
+            kr = (left @ right).reshape(df, dg, dg, df).transpose(0, 3, 1, 2)
+            h[f.y, g.y] = (f.uh @ kr.reshape(df * df, dg * dg) @ g.u).real
+            h[g.y, f.y] = h[f.y, g.y].T
         return h
 
 
@@ -237,18 +235,23 @@ def _eigh(s: np.ndarray, vectors: bool = True):
     raise np.linalg.LinAlgError("Hermitian eigensolver failed on every LAPACK driver")
 
 
-def _max_step(s: np.ndarray, ell_inv: np.ndarray, d: np.ndarray) -> tuple[float, np.ndarray]:
-    """Largest alpha <= 1 keeping s + alpha*d (STEP_FRACTION-)inside the cone, with its factor.
+def _step_estimate(ell_inv: np.ndarray, d: np.ndarray) -> float:
+    """Largest alpha <= 1 keeping s + alpha*d (STEP_FRACTION-)inside the cone, unverified.
 
-    ell_inv is the inverse of the Cholesky factor L of s, so the estimate
-    reads the spectrum of L^-1 d L^-†.  A step is accepted only once
-    s + alpha*d has a finite Cholesky factor, which is returned with it;
-    each failed attempt shrinks alpha by 0.8, and LinAlgError is raised
-    when 60 attempts fail.
+    With ell_inv the inverse of s's Cholesky factor L, alpha reads lmin(L^-1 d L^-†),
+    which eigvalsh takes from one triangle, so it is not symmetrized.  Nothing is factored.
     """
-    y = ell_inv @ d @ ell_inv.conj().T
-    wmin = float(_eigh(0.5 * (y + y.conj().T), vectors=False)[0])
-    alpha = 1.0 if wmin >= -1e-14 else min(1.0, -STEP_FRACTION / wmin)
+    wmin = float(_eigh(ell_inv @ d @ ell_inv.conj().T, vectors=False)[0])
+    return min(1.0, -STEP_FRACTION / wmin) if wmin < 0.0 else 1.0
+
+
+def _max_step(s: np.ndarray, ell_inv: np.ndarray, d: np.ndarray) -> tuple[float, np.ndarray]:
+    """_step_estimate's alpha, accepted once s + alpha*d has a finite Cholesky factor.
+
+    The factor is returned with it; each failed attempt shrinks alpha by
+    0.8, and LinAlgError is raised when 60 attempts fail.
+    """
+    alpha = _step_estimate(ell_inv, d)
     for _ in range(60):
         try:
             ell = np.linalg.cholesky(s + alpha * d)
@@ -302,7 +305,7 @@ def solve(problem: HermitianSdp, max_iterations: int = 200) -> SdpSolution:
     stall = 0
 
     def measure(x, y, z):
-        rp = b - a_op(x)
+        rp = b - (ax := a_op(x))
         rd = cmat - z - a_adj(y)
         xz = float(np.vdot(z, x).real)
         # infeasibility-compensated objective (the Lagrangian value): when
@@ -312,11 +315,11 @@ def solve(problem: HermitianSdp, max_iterations: int = 200) -> SdpSolution:
         dv = float(b @ y)
         pinf = float(np.linalg.norm(rp)) / (1.0 + norm_b)
         dinf = float(np.linalg.norm(rd)) / (1.0 + norm_c)
-        return rp, rd, xz, pv, dv, pinf, dinf, xz / (1.0 + abs(pv) + abs(dv))
+        return ax, rp, rd, xz, pv, dv, pinf, dinf, xz / (1.0 + abs(pv) + abs(dv))
 
     for it in range(1, max_iterations + 1):
         iterations = it
-        rp, rd, xz, pv, dv, pinf, dinf, relgap = measure(x, y, z)
+        ax, rp, rd, xz, pv, dv, pinf, dinf, relgap = measure(x, y, z)
         mu = xz / n
 
         if pinf <= DEFAULT_TOL and dinf <= DEFAULT_TOL and relgap <= DEFAULT_TOL and dv <= pv + 1e-9:
@@ -332,8 +335,8 @@ def solve(problem: HermitianSdp, max_iterations: int = 200) -> SdpSolution:
             # Nesterov-Todd scaling point W with W Z W = X.
             lx_inv = np.linalg.inv(lx)
             lz_inv = np.linalg.inv(lz)
-            mid = lx.conj().T @ z @ lx
-            wmid, qmid = _eigh(0.5 * (mid + mid.conj().T))
+            # eigh reads one triangle, so mid is not symmetrized
+            wmid, qmid = _eigh(lx.conj().T @ z @ lx)
             wmid = np.clip(wmid, 1e-300, None)
             t = lx @ qmid
             w = (t * wmid**-0.5) @ t.conj().T
@@ -358,24 +361,23 @@ def solve(problem: HermitianSdp, max_iterations: int = 200) -> SdpSolution:
                     dy = dy + schur_inv.T @ (schur_inv @ res)
                 return dy
 
-            def newton(rc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-                rhs = rp + a_op(w @ rd @ w) - a_op(rc)
-                dy = solve_schur(rhs)
+            common = rp + a_op(w @ rd @ w)  # the right-hand side's part both solves share
+
+            def newton(rc: np.ndarray, arc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                dy = solve_schur(common - arc)
                 dz = rd - a_adj(dy)
                 dx = rc - w @ dz @ w
                 return 0.5 * (dx + dx.conj().T), dy, 0.5 * (dz + dz.conj().T)
 
-            # Predictor: pure affine step fixes the centering parameter.
-            dxa, _, dza = newton(-x)
-            ap, _ = _max_step(x, lx_inv, dxa)
-            ad, _ = _max_step(z, lz_inv, dza)
+            # Predictor: the affine step only fixes sigma; its lengths are estimated, not factored.
+            dxa, _, dza = newton(-x, -ax)
+            ap, ad = _step_estimate(lx_inv, dxa), _step_estimate(lz_inv, dza)
             mu_aff = max(0.0, float(np.vdot(z + ad * dza, x + ap * dxa).real)) / n
             sigma = min(1.0, max(1e-10, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
 
-            # Corrector: recenter toward sigma*mu on the same factorization.
-            zinv = lz_inv.conj().T @ lz_inv
-            zinv = 0.5 * (zinv + zinv.conj().T)
-            dx, dy, dz = newton(sigma * mu * zinv - x)
+            # Corrector toward sigma*mu on the same factorization; A(rc) reads rc's Hermitian part.
+            rc = sigma * mu * (lz_inv.conj().T @ lz_inv) - x
+            dx, dy, dz = newton(rc, a_op(rc))
             ap, lx_next = _max_step(x, lx_inv, dx)
             ad, lz_next = _max_step(z, lz_inv, dz)
 
@@ -393,7 +395,7 @@ def solve(problem: HermitianSdp, max_iterations: int = 200) -> SdpSolution:
         else:
             stall = 0
 
-    _, _, _, pv, dv, pinf, dinf, relgap = measure(x, y, z)
+    *_, pv, dv, pinf, dinf, relgap = measure(x, y, z)
     # a stalled or interrupted iterate is accepted at the looser thresholds
     if status != STATUS_INFEASIBLE_SUSPECTED and (
         pinf <= ACCEPT_TOL and dinf <= ACCEPT_TOL and relgap <= ACCEPT_TOL and dv <= pv + 1e-9

@@ -26,6 +26,7 @@ from .core import (
 )
 from .entropy import (
     _decoupling_at_optimizer,
+    _max_entropy_purified,
     closed_form_entropies,
     guessing_probability,
     key_secrecy_block,
@@ -169,8 +170,8 @@ def _crit_recovery(seed: int, trials: int) -> list[OracleReport]:
 def _crit_decoupling(seed: int, trials: int) -> list[OracleReport]:
     rows = []
     for i, state in enumerate(_states(seed, trials)):
-        hmax = max_entropy(state)
-        value, _ = _decoupling_at_optimizer(state, hmax)
+        hmax, amp = _max_entropy_purified(state)
+        value, _ = _decoupling_at_optimizer(hmax, amp)
         rows.append(
             _row(
                 f"qdecpl.t{i:02d}.{state.d_A}x{state.d_B}",
@@ -263,8 +264,8 @@ def _crit_key_secrecy(seed: int, trials: int) -> list[OracleReport]:
     rows = []
     for i, ens in enumerate(_ensembles(seed, trials)):
         joint = cq_to_density(ens)
-        hmax = max_entropy(joint)
-        _, sigma = _decoupling_at_optimizer(joint, hmax)
+        hmax, amp = _max_entropy_purified(joint)
+        _, sigma = _decoupling_at_optimizer(hmax, amp)
         block = key_secrecy_block(ens, sigma)
         oracle = 2.0 ** hmax.value_bits
         rows.append(

@@ -259,6 +259,19 @@ class TestDecouplingAccuracy:
         value, sigma = decoupling_accuracy(joint)
         assert key_secrecy_block(ens, sigma) == pytest.approx(value, abs=1e-7)
 
+    def test_state_is_purified_once_per_call(self, monkeypatch):
+        # the optimizer's sigma is read on the purification the max-entropy
+        # SDP was solved on, not on a second one
+        import minmaxent.entropy as entropy
+
+        calls = []
+        purify = entropy.purify
+        monkeypatch.setattr(entropy, "purify", lambda rho: calls.append(1) or purify(rho))
+        decoupling_accuracy(BipartiteState(random_density(4, 16), 2, 2))
+        assert len(calls) == 1
+        key_secrecy(CqEnsemble(np.array([0.3, 0.7]), (random_density(2, 17), random_density(2, 18))))
+        assert len(calls) == 2
+
 
 class TestKeySecrecy:
     def test_deterministic_key(self):

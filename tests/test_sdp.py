@@ -277,7 +277,7 @@ class TestConstraintCoords:
 
 
 class TestMaxStep:
-    """_max_step returns the accepted step length and the Cholesky factor there."""
+    """_step_estimate reads the step length off the spectrum; _max_step verifies it by a factor."""
 
     @staticmethod
     def pd_and_inverse_factor(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -316,6 +316,60 @@ class TestMaxStep:
         assert np.linalg.eigvalsh(s + alpha * d)[0] > 0.0
         for a in tried[:-1]:
             assert np.linalg.eigvalsh(s + a * d)[0] <= 0.0
+
+    def test_step_estimate_is_the_spectral_formula(self):
+        s, ell_inv = self.pd_and_inverse_factor(5, 58)
+        # the random directions are shortened; the small one is capped at the full step
+        directions = [-TestConstraintCoords.random_hermitian(5, seed) for seed in (59, 60, 61)]
+        for d in directions + [-1e-3 * np.eye(5)]:
+            lmin = np.linalg.eigvalsh(ell_inv @ d @ ell_inv.conj().T)[0]
+            assert lmin < 0.0
+            assert sdp._step_estimate(ell_inv, d) == min(1.0, -sdp.STEP_FRACTION / lmin)
+        for g in directions:
+            assert sdp._step_estimate(ell_inv, g @ g.conj().T) == 1.0  # PSD direction
+
+    def test_step_estimate_never_factors(self, monkeypatch):
+        s, ell_inv = self.pd_and_inverse_factor(4, 62)
+        d = -TestConstraintCoords.random_hermitian(4, 63)
+        expected = sdp._step_estimate(ell_inv, d)
+        monkeypatch.setattr(np.linalg, "cholesky", _raise_linalg)
+        assert sdp._step_estimate(ell_inv, d) == expected
+        with pytest.raises(np.linalg.LinAlgError):
+            sdp._max_step(s, ell_inv, d)
+
+    def test_solve_factors_only_the_steps_it_takes(self, monkeypatch):
+        # per completed iteration: the predictor's two lengths are estimated
+        # only, the corrector's two are factor-verified (each on an estimate);
+        # every n x n Cholesky call comes from _max_step (m = 9 differs from n = 6)
+        p = _min_entropy_problem(random_density(6, 64).mat, 2, 3)
+        n = p.dim
+        calls = {"estimate": 0, "max_step": 0, "outside": 0}
+        estimate, max_step, cholesky = sdp._step_estimate, sdp._max_step, np.linalg.cholesky
+        inside = []
+
+        def counted_estimate(*args):
+            calls["estimate"] += 1
+            return estimate(*args)
+
+        def counted_max_step(*args):
+            calls["max_step"] += 1
+            inside.append(1)
+            try:
+                return max_step(*args)
+            finally:
+                inside.pop()
+
+        def watched_cholesky(a, *args, **kwargs):
+            calls["outside"] += a.shape == (n, n) and not inside
+            return cholesky(a, *args, **kwargs)
+
+        monkeypatch.setattr(sdp, "_step_estimate", counted_estimate)
+        monkeypatch.setattr(sdp, "_max_step", counted_max_step)
+        monkeypatch.setattr(np.linalg, "cholesky", watched_cholesky)
+        sol = solve(p)
+        assert sol.status == "optimal"
+        steps = sol.iterations - 1  # the last iteration stops before stepping
+        assert calls == {"estimate": 4 * steps, "max_step": 2 * steps, "outside": 0}
 
     def test_non_finite_factor_is_never_accepted(self, monkeypatch):
         # numpy's Cholesky returns a NaN factor for NaN input instead of failing
