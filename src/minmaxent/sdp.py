@@ -11,8 +11,11 @@ together with the dual
 
 The iterates are complex Hermitian matrices throughout.  The iteration
 is an infeasible-start path-following method with Nesterov-Todd scaling
-(Todd, Toh and Tutuncu, SIAM J. Optim. 8, 1998) and a Mehrotra-style
-adaptive centering parameter.  Only equality constraints are supported,
+(Todd, Toh and Tutuncu, SIAM J. Optim. 8, 1998) in Mehrotra's
+predictor-corrector form (S. Mehrotra, SIAM J. Optim. 2, 1992): the
+predictor's affine step sets the centering parameter, and the corrector
+carries its second-order term, a Lyapunov solve that is elementwise in
+the NT-scaled frame.  Only equality constraints are supported,
 in block families: X is cut into diagonal blocks X_ss, and a family
 (c, R) states sum_s c_s X_ss = R in the coordinates of the Hermitian
 basis B_k of R's size d.  The min-entropy, max tr(rho E) over E >= 0
@@ -69,8 +72,8 @@ STATUS_NUMERICAL_FAILURE = "numerical_failure"
 DEFAULT_TOL = 1e-9
 ACCEPT_TOL = 1e-7
 DIVERGENCE_LIMIT = 1e12
-# STEP_FRACTION: per minent-batch cycle (benchmark seeds 1-4), 0.98 took 804-829
-# iterations, an adaptive 0.9 + 0.09 min(alpha) 740-757, and 0.95 takes 715-741.
+# STEP_FRACTION: per cycle at benchmark seeds 1-4, 0.95 takes 517-529 iterations on
+# minent-batch and 162-166 on hmax-purified; 0.98 took 497-507 and 170-176, 0.9 581-585 and 182-185.
 STEP_FRACTION = 0.95
 
 
@@ -263,6 +266,17 @@ def _max_step(s: np.ndarray, ell_inv: np.ndarray, d: np.ndarray) -> tuple[float,
     raise np.linalg.LinAlgError("no step keeps the iterate positive definite")
 
 
+def _nt_scaling(lx: np.ndarray, lx_inv: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, ...]:
+    """G, G^-1 and lam with G^-1 X G^-† = G† Z G = diag(lam) for X = lx lx†; W = G G†.
+
+    lx† Z lx = Q diag(w) Q† (eigh reads one triangle, so it is not symmetrized) gives
+    G = lx Q diag(w^-1/4) and lam = w^1/2.
+    """
+    wmid, qmid = _eigh(lx.conj().T @ z @ lx)
+    wmid = np.clip(wmid, 1e-300, None)
+    return (lx @ qmid) * wmid**-0.25, (wmid**0.25)[:, None] * (qmid.conj().T @ lx_inv), np.sqrt(wmid)
+
+
 def solve(problem: HermitianSdp, max_iterations: int = 200) -> SdpSolution:
     """Run the interior-point iteration and return a matched certificate.
 
@@ -332,14 +346,11 @@ def solve(problem: HermitianSdp, max_iterations: int = 200) -> SdpSolution:
         # Any LinAlgError left after _eigh's fallbacks and _max_step's shrinking
         # ends the loop; (x, lx, y, z, lz) are only replaced by a completed step.
         try:
-            # Nesterov-Todd scaling point W with W Z W = X.
             lx_inv = np.linalg.inv(lx)
             lz_inv = np.linalg.inv(lz)
-            # eigh reads one triangle, so mid is not symmetrized
-            wmid, qmid = _eigh(lx.conj().T @ z @ lx)
-            wmid = np.clip(wmid, 1e-300, None)
-            t = lx @ qmid
-            w = (t * wmid**-0.5) @ t.conj().T
+            # Nesterov-Todd scaling point W = G G† with W Z W = X.
+            g, g_inv, lam = _nt_scaling(lx, lx_inv, z)
+            w = g @ g.conj().T
             w = 0.5 * (w + w.conj().T)
 
             schur = problem._schur(w)
@@ -375,8 +386,11 @@ def solve(problem: HermitianSdp, max_iterations: int = 200) -> SdpSolution:
             mu_aff = max(0.0, float(np.vdot(z + ad * dza, x + ap * dxa).real)) / n
             sigma = min(1.0, max(1e-10, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
 
-            # Corrector toward sigma*mu on the same factorization; A(rc) reads rc's Hermitian part.
-            rc = sigma * mu * (lz_inv.conj().T @ lz_inv) - x
+            # Corrector toward sigma*mu, less the second-order term G[(T + T†) / (lam_i + lam_j)]G†
+            # with T = (G^-1 dXa G^-†)(G† dZa G); A(rc) reads rc's Hermitian part.
+            t = (g_inv @ dxa @ g_inv.conj().T) @ (g.conj().T @ dza @ g)
+            second_order = g @ ((t + t.conj().T) / (lam[:, None] + lam)) @ g.conj().T
+            rc = sigma * mu * (lz_inv.conj().T @ lz_inv) - x - second_order
             dx, dy, dz = newton(rc, a_op(rc))
             ap, lx_next = _max_step(x, lx_inv, dx)
             ad, lz_next = _max_step(z, lz_inv, dz)
@@ -395,7 +409,8 @@ def solve(problem: HermitianSdp, max_iterations: int = 200) -> SdpSolution:
         else:
             stall = 0
 
-    *_, pv, dv, pinf, dinf, relgap = measure(x, y, z)
+    if status == STATUS_MAX_ITERATIONS:  # the cap or the stall rule: the last step is unmeasured
+        *_, pv, dv, pinf, dinf, relgap = measure(x, y, z)
     # a stalled or interrupted iterate is accepted at the looser thresholds
     if status != STATUS_INFEASIBLE_SUSPECTED and (
         pinf <= ACCEPT_TOL and dinf <= ACCEPT_TOL and relgap <= ACCEPT_TOL and dv <= pv + 1e-9
