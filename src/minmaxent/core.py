@@ -257,14 +257,15 @@ def trace_norm(m: HermitianOperator) -> float:
     return float(np.sum(np.abs(np.linalg.eigvalsh(m.mat))))
 
 
-def _psd_factor(mat: np.ndarray) -> np.ndarray:
-    """V with V V† = mat, one column per eigenvalue above RANK_RTOL times the largest.
+def _psd_factor(mat: np.ndarray, rtol: float = 0.0) -> np.ndarray:
+    """V with V V† = mat, one column per eigenvalue above max(rtol, 10 d eps) times the largest.
 
-    Columns follow the eigenvalues in descending order; at least one is kept.
+    10 d eps lies above the eigensolver's rounding level for d x d mat.  Columns
+    follow the eigenvalues in descending order; at least one is kept.
     """
     w, v = np.linalg.eigh(mat)
     w, v = w[::-1], v[:, ::-1]
-    cutoff = RANK_RTOL * max(w[0], 0.0)
+    cutoff = max(rtol, 10 * len(w) * np.finfo(float).eps) * max(w[0], 0.0)
     rank = max(1, int(np.sum(w > cutoff)))
     return v[:, :rank] * np.sqrt(np.clip(w[:rank], 0.0, None))
 
@@ -282,8 +283,8 @@ def _root_fidelity_mats(a: np.ndarray, b: np.ndarray) -> float:
 def root_fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
     """Root fidelity ||sqrt(rho) sqrt(sigma)||_1, computed as ||V_rho† V_sigma||_1.
 
-    V is the support factor of purify (rho = V V†; eigenvalues below
-    RANK_RTOL times the largest count as zero).  Its square is the
+    V is a support factor (rho = V V†; eigenvalues at the eigensolver's
+    rounding level count as zero).  Its square is the
     overlap <psi|rho|psi> whenever sigma is the pure state |psi><psi|.
     """
     if rho.dim != sigma.dim:
@@ -297,7 +298,7 @@ def purify(rho: DensityOperator) -> PureState:
     Tracing out the appended ancilla recovers rho.  The ancilla index is
     minor (appended after the system index).
     """
-    amp = _psd_factor(rho.mat).reshape(-1)
+    amp = _psd_factor(rho.mat, RANK_RTOL).reshape(-1)
     return PureState(amp / np.linalg.norm(amp))
 
 

@@ -33,10 +33,10 @@ then the basis change, O(d^6).
 
 The iteration runs on numpy.linalg alone.  A step is accepted only once
 the new X (or Z) factors by Cholesky; the predictor's step is never
-taken and only estimated.  Each iteration inverts the factors X and Z
-were accepted with, and the Schur matrix's, once: they serve the NT
-scaling, every step-length estimate, Z^-1 and every Schur solve.  scipy
-is imported only by the eigensolver fallback in _eigh.
+taken and only estimated.  Step lengths and Z^-1 = G diag(1/lam) G^H are
+read in the NT-scaled frame G^-1 X G^-H = G^H Z G = diag(lam), so only the
+Schur matrix's factor is inverted, once per iteration.  scipy is imported
+only by the eigensolver fallback in _eigh.
 """
 
 from __future__ import annotations
@@ -72,9 +72,9 @@ STATUS_NUMERICAL_FAILURE = "numerical_failure"
 DEFAULT_TOL = 1e-9
 ACCEPT_TOL = 1e-7
 DIVERGENCE_LIMIT = 1e12
-# STEP_FRACTION: per cycle at benchmark seeds 1-4, 0.95 takes 517-529 iterations on
-# minent-batch and 162-166 on hmax-purified; 0.98 took 497-507 and 170-176, 0.9 581-585 and 182-185.
-STEP_FRACTION = 0.95
+# STEP_FRACTION: per cycle at benchmark seeds 1-4, 0.97 takes 459-468 iterations on minent-batch
+# and 147-153 on hmax-purified; 0.95 took 471-481 and 152-159, 0.98 456-463 and 151-156, 0.9 522-528 and 165-167.
+STEP_FRACTION = 0.97
 
 
 class SolverError(RuntimeError):
@@ -238,23 +238,24 @@ def _eigh(s: np.ndarray, vectors: bool = True):
     raise np.linalg.LinAlgError("Hermitian eigensolver failed on every LAPACK driver")
 
 
-def _step_estimate(ell_inv: np.ndarray, d: np.ndarray) -> float:
-    """Largest alpha <= 1 keeping s + alpha*d (STEP_FRACTION-)inside the cone, unverified.
+def _step_estimate(lam: np.ndarray, s: np.ndarray) -> float:
+    """Largest alpha <= 1 keeping diag(lam) + alpha*s (STEP_FRACTION-)inside the cone, unverified.
 
-    With ell_inv the inverse of s's Cholesky factor L, alpha reads lmin(L^-1 d L^-†),
-    which eigvalsh takes from one triangle, so it is not symmetrized.  Nothing is factored.
+    An iterate is diag(lam) in the NT-scaled frame and s its direction there, so alpha
+    reads lmin(lam_i^-1/2 s_ij lam_j^-1/2), which eigvalsh takes from one triangle, so
+    it is not symmetrized.  Nothing is factored or inverted.
     """
-    wmin = float(_eigh(ell_inv @ d @ ell_inv.conj().T, vectors=False)[0])
+    r = lam**-0.5
+    wmin = float(_eigh(r[:, None] * s * r, vectors=False)[0])
     return min(1.0, -STEP_FRACTION / wmin) if wmin < 0.0 else 1.0
 
 
-def _max_step(s: np.ndarray, ell_inv: np.ndarray, d: np.ndarray) -> tuple[float, np.ndarray]:
-    """_step_estimate's alpha, accepted once s + alpha*d has a finite Cholesky factor.
+def _max_step(s: np.ndarray, d: np.ndarray, alpha: float) -> tuple[float, np.ndarray]:
+    """The estimate alpha, accepted once s + alpha*d has a finite Cholesky factor.
 
     The factor is returned with it; each failed attempt shrinks alpha by
     0.8, and LinAlgError is raised when 60 attempts fail.
     """
-    alpha = _step_estimate(ell_inv, d)
     for _ in range(60):
         try:
             ell = np.linalg.cholesky(s + alpha * d)
@@ -266,22 +267,23 @@ def _max_step(s: np.ndarray, ell_inv: np.ndarray, d: np.ndarray) -> tuple[float,
     raise np.linalg.LinAlgError("no step keeps the iterate positive definite")
 
 
-def _nt_scaling(lx: np.ndarray, lx_inv: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, ...]:
-    """G, G^-1 and lam with G^-1 X G^-† = G† Z G = diag(lam) for X = lx lx†; W = G G†.
+def _nt_scaling(lx: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G and lam with G^-1 X G^-† = G† Z G = diag(lam) for X = lx lx†; W = G G†.
 
     lx† Z lx = Q diag(w) Q† (eigh reads one triangle, so it is not symmetrized) gives
     G = lx Q diag(w^-1/4) and lam = w^1/2.
     """
     wmid, qmid = _eigh(lx.conj().T @ z @ lx)
     wmid = np.clip(wmid, 1e-300, None)
-    return (lx @ qmid) * wmid**-0.25, (wmid**0.25)[:, None] * (qmid.conj().T @ lx_inv), np.sqrt(wmid)
+    return (lx @ qmid) * wmid**-0.25, np.sqrt(wmid)
 
 
 def solve(problem: HermitianSdp, max_iterations: int = 200) -> SdpSolution:
     """Run the interior-point iteration and return a matched certificate.
 
-    The iteration starts from scaled identities (X = tau_p I, y = 0,
-    Z = tau_d I), which need not be feasible.  On optimal certificates
+    The iteration starts from y = 0, Z = ||C||_F I (I if C = 0) and X = tau_p I, the
+    least-squares fit of A(tau I) = b (I/d_A, feasible, on min-entropy data; I if no
+    positive tau fits); the start need not be feasible.  On optimal certificates
     the dual value exceeds the primal by at most 1e-9; identical problem
     data yields identical output.
 
@@ -303,15 +305,15 @@ def solve(problem: HermitianSdp, max_iterations: int = 200) -> SdpSolution:
     cmat = problem.objective.mat
     a_op, a_adj, maps = problem._op, problem._adj, problem._maps
     b = np.concatenate([(f.uh @ r.mat.ravel()).real for f, (_, r) in zip(maps, problem.families)])
-    # ||A_i||_F = ||c_f||_2 for every constraint of family f, the basis being orthonormal
-    anorms = np.concatenate([np.full(len(f.uh), np.linalg.norm(f.coef)) for f in maps])
     norm_b = float(np.linalg.norm(b))
     norm_c = float(np.linalg.norm(cmat))
 
-    tau_p = max(1.0, np.sqrt(n), n * float(np.max((1.0 + np.abs(b)) / (1.0 + anorms))))
+    # tau_p I is the multiple of I closest to A(X) = b: family f maps I to (sum_s c_fs) I_f
+    fams = [(sum(c), r.dim, float(np.trace(r.mat).real)) for c, r in problem.families]
+    num, den = sum(c * t for c, _, t in fams), sum(c * c * d for c, d, _ in fams)
+    tau_p = num / den if num > 0.0 else 1.0  # no positive multiple fits where A(I)'b <= 0
     x, lx = tau_p * np.eye(n), np.sqrt(tau_p) * np.eye(n)
-    tau_d = max(1.0, np.sqrt(n), norm_c, float(np.max(anorms)))
-    z, lz = tau_d * np.eye(n), np.sqrt(tau_d) * np.eye(n)
+    z = (norm_c or 1.0) * np.eye(n)
     y = np.zeros(m)
 
     status = STATUS_MAX_ITERATIONS
@@ -344,13 +346,12 @@ def solve(problem: HermitianSdp, max_iterations: int = 200) -> SdpSolution:
             break
 
         # Any LinAlgError left after _eigh's fallbacks and _max_step's shrinking
-        # ends the loop; (x, lx, y, z, lz) are only replaced by a completed step.
+        # ends the loop; (x, lx, y, z) are only replaced by a completed step.
         try:
-            lx_inv = np.linalg.inv(lx)
-            lz_inv = np.linalg.inv(lz)
             # Nesterov-Todd scaling point W = G G† with W Z W = X.
-            g, g_inv, lam = _nt_scaling(lx, lx_inv, z)
-            w = g @ g.conj().T
+            g, lam = _nt_scaling(lx, z)
+            gh = g.conj().T
+            w = g @ gh
             w = 0.5 * (w + w.conj().T)
 
             schur = problem._schur(w)
@@ -381,23 +382,28 @@ def solve(problem: HermitianSdp, max_iterations: int = 200) -> SdpSolution:
                 return 0.5 * (dx + dx.conj().T), dy, 0.5 * (dz + dz.conj().T)
 
             # Predictor: the affine step only fixes sigma; its lengths are estimated, not factored.
+            # In the scaled frame dXa = -X - W dZa W reads G^-1 dXa G^-† = -diag(lam) - G† dZa G.
             dxa, _, dza = newton(-x, -ax)
-            ap, ad = _step_estimate(lx_inv, dxa), _step_estimate(lz_inv, dza)
+            sza = gh @ dza @ g
+            sxa = -np.diag(lam) - sza
+            ap, ad = _step_estimate(lam, sxa), _step_estimate(lam, sza)
             mu_aff = max(0.0, float(np.vdot(z + ad * dza, x + ap * dxa).real)) / n
             sigma = min(1.0, max(1e-10, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
 
-            # Corrector toward sigma*mu, less the second-order term G[(T + T†) / (lam_i + lam_j)]G†
-            # with T = (G^-1 dXa G^-†)(G† dZa G); A(rc) reads rc's Hermitian part.
-            t = (g_inv @ dxa @ g_inv.conj().T) @ (g.conj().T @ dza @ g)
-            second_order = g @ ((t + t.conj().T) / (lam[:, None] + lam)) @ g.conj().T
-            rc = sigma * mu * (lz_inv.conj().T @ lz_inv) - x - second_order
+            # Corrector: sigma*mu Z^-1 - X less the second-order term G[(T + T†) / (lam_i + lam_j)]G†,
+            # T = (G^-1 dXa G^-†)(G† dZa G), is rc = G S G† - X as Z^-1 = G diag(1/lam) G†; then
+            # dX = rc - W dZ W reads S - diag(lam) - G† dZ G in the frame.  A(rc) reads rc's Hermitian part.
+            t = sxa @ sza
+            s = np.diag(sigma * mu / lam) - (t + t.conj().T) / (lam[:, None] + lam)
+            rc = g @ s @ gh - x
             dx, dy, dz = newton(rc, a_op(rc))
-            ap, lx_next = _max_step(x, lx_inv, dx)
-            ad, lz_next = _max_step(z, lz_inv, dz)
+            sz = gh @ dz @ g
+            ap, lx_next = _max_step(x, dx, _step_estimate(lam, s - np.diag(lam) - sz))
+            ad, _ = _max_step(z, dz, _step_estimate(lam, sz))
 
             x, lx = x + ap * dx, lx_next
             y = y + ad * dy
-            z, lz = z + ad * dz, lz_next
+            z = z + ad * dz
         except np.linalg.LinAlgError:
             status = STATUS_NUMERICAL_FAILURE
             break

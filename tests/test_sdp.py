@@ -280,38 +280,42 @@ class TestConstraintCoords:
 
 
 class TestMaxStep:
-    """_step_estimate reads the step length off the spectrum; _max_step verifies it by a factor."""
+    """_step_estimate reads the step length in the NT-scaled frame; _max_step verifies it by a factor."""
 
     @staticmethod
-    def pd_and_inverse_factor(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    def pd_and_frame(n: int, seed: int):
+        # s and a Z > 0 fix the frame G^-1 s G^-† = diag(lam); scaled(d) is d in that frame
         s = TestConstraintCoords.random_hermitian(n, seed) + 0.1 * np.eye(n)
-        return s, np.linalg.inv(np.linalg.cholesky(s))
+        z = TestConstraintCoords.random_hermitian(n, seed + 100) + 0.1 * np.eye(n)
+        g, lam = sdp._nt_scaling(np.linalg.cholesky(s), z)
+        g_inv = np.linalg.inv(g)
+        return s, lam, lambda d: g_inv @ d @ g_inv.conj().T
 
     def test_psd_direction_takes_the_full_step(self):
-        s, ell_inv = self.pd_and_inverse_factor(4, 50)
+        s, lam, scaled = self.pd_and_frame(4, 50)
         d = TestConstraintCoords.random_hermitian(4, 51)
-        alpha, ell = sdp._max_step(s, ell_inv, d)
+        estimate = sdp._step_estimate(lam, scaled(d))
+        assert estimate == 1.0
+        alpha, ell = sdp._max_step(s, d, estimate)
         assert alpha == 1.0
         assert np.array_equal(ell, np.linalg.cholesky(s + d))
 
     def test_factor_is_the_cholesky_factor_of_the_new_iterate(self):
-        s, ell_inv = self.pd_and_inverse_factor(5, 52)
+        s, lam, scaled = self.pd_and_frame(5, 52)
         d = -TestConstraintCoords.random_hermitian(5, 53)
-        alpha, ell = sdp._max_step(s, ell_inv, d)
+        alpha, ell = sdp._max_step(s, d, sdp._step_estimate(lam, scaled(d)))
         assert 0.0 < alpha < 1.0
         new = s + alpha * d
         assert ell.tobytes() == np.linalg.cholesky(new).tobytes()
         assert np.max(np.abs(ell @ ell.conj().T - new)) <= 1e-12 * np.max(np.abs(new))
 
     def test_overshooting_estimate_is_shrunk_until_the_factor_exists(self):
-        # ell_inv belongs to 50 s, so the estimate reads a spectrum 50 times
+        # estimated against 50 s, the step reads a spectrum 50 times
         # too small and asks for the full step, past the boundary of the cone
-        s, _ = self.pd_and_inverse_factor(4, 54)
-        ell_inv = np.linalg.inv(np.linalg.cholesky(50.0 * s))
+        s, lam, scaled = self.pd_and_frame(4, 54)
         d = -TestConstraintCoords.random_hermitian(4, 55)
-        y = ell_inv @ d @ ell_inv.conj().T
-        estimate = min(1.0, -sdp.STEP_FRACTION / np.linalg.eigvalsh(y)[0])
-        alpha, _ = sdp._max_step(s, ell_inv, d)
+        estimate = sdp._step_estimate(50.0 * lam, scaled(d))
+        alpha, _ = sdp._max_step(s, d, estimate)
         tried = [estimate]
         while tried[-1] > alpha:
             tried.append(tried[-1] * 0.8)
@@ -321,24 +325,26 @@ class TestMaxStep:
             assert np.linalg.eigvalsh(s + a * d)[0] <= 0.0
 
     def test_step_estimate_is_the_spectral_formula(self):
-        s, ell_inv = self.pd_and_inverse_factor(5, 58)
+        _, lam, scaled = self.pd_and_frame(5, 58)
         # the random directions are shortened; the small one is capped at the full step
         directions = [-TestConstraintCoords.random_hermitian(5, seed) for seed in (59, 60, 61)]
         for d in directions + [-1e-3 * np.eye(5)]:
-            lmin = np.linalg.eigvalsh(ell_inv @ d @ ell_inv.conj().T)[0]
+            # lmin of the pencil (scaled(d), diag(lam)), generalized eigenvalues taken by scipy
+            lmin = scipy.linalg.eigh(scaled(d), np.diag(lam), eigvals_only=True)[0]
             assert lmin < 0.0
-            assert sdp._step_estimate(ell_inv, d) == min(1.0, -sdp.STEP_FRACTION / lmin)
+            want = min(1.0, -sdp.STEP_FRACTION / lmin)
+            assert sdp._step_estimate(lam, scaled(d)) == pytest.approx(want, rel=1e-12)
         for g in directions:
-            assert sdp._step_estimate(ell_inv, g @ g.conj().T) == 1.0  # PSD direction
+            assert sdp._step_estimate(lam, scaled(g @ g.conj().T)) == 1.0  # PSD direction
 
     def test_step_estimate_never_factors(self, monkeypatch):
-        s, ell_inv = self.pd_and_inverse_factor(4, 62)
+        s, lam, scaled = self.pd_and_frame(4, 62)
         d = -TestConstraintCoords.random_hermitian(4, 63)
-        expected = sdp._step_estimate(ell_inv, d)
+        expected = sdp._step_estimate(lam, scaled(d))
         monkeypatch.setattr(np.linalg, "cholesky", _raise_linalg)
-        assert sdp._step_estimate(ell_inv, d) == expected
+        assert sdp._step_estimate(lam, scaled(d)) == expected
         with pytest.raises(np.linalg.LinAlgError):
-            sdp._max_step(s, ell_inv, d)
+            sdp._max_step(s, d, expected)
 
     def test_solve_factors_only_the_steps_it_takes(self, monkeypatch):
         # per completed iteration: the predictor's two lengths are estimated
@@ -374,13 +380,28 @@ class TestMaxStep:
         steps = sol.iterations - 1  # the last iteration stops before stepping
         assert calls == {"estimate": 4 * steps, "max_step": 2 * steps, "outside": 0}
 
+    def test_solve_inverts_no_iterate_factor(self, monkeypatch):
+        # step lengths and Z^-1 are read in the NT-scaled frame; only the
+        # m x m Schur factor is inverted (m = 9 differs from n = 6)
+        p = _min_entropy_problem(random_density(6, 65).mat, 2, 3)
+        inv, shapes = np.linalg.inv, []
+
+        def watched_inv(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return inv(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "inv", watched_inv)
+        sol = solve(p)
+        assert sol.status == "optimal"
+        assert shapes == [(9, 9)] * (sol.iterations - 1)
+
     def test_non_finite_factor_is_never_accepted(self, monkeypatch):
         # numpy's Cholesky returns a NaN factor for NaN input instead of failing
-        s, ell_inv = self.pd_and_inverse_factor(3, 56)
+        s = TestConstraintCoords.random_hermitian(3, 56) + 0.1 * np.eye(3)
         d = TestConstraintCoords.random_hermitian(3, 57)
         monkeypatch.setattr(np.linalg, "cholesky", lambda a: np.full_like(a, np.nan))
         with pytest.raises(np.linalg.LinAlgError):
-            sdp._max_step(s, ell_inv, d)
+            sdp._max_step(s, d, 1.0)
 
 
 class TestCorrector:
@@ -395,8 +416,8 @@ class TestCorrector:
     def test_scaled_frame_diagonalizes_both_iterates(self, n, seed):
         x = TestConstraintCoords.random_hermitian(n, seed) + 0.1 * np.eye(n)
         z = TestConstraintCoords.random_hermitian(n, seed + 10) + 0.1 * np.eye(n)
-        lx = np.linalg.cholesky(x)
-        g, g_inv, lam = sdp._nt_scaling(lx, np.linalg.inv(lx), z)
+        g, lam = sdp._nt_scaling(np.linalg.cholesky(x), z)
+        g_inv = np.linalg.inv(g)
         # the NT point in closed form: W = Z^-1/2 (Z^1/2 X Z^1/2)^1/2 Z^-1/2
         zh, zih = self.psd_power(z, 0.5), self.psd_power(z, -0.5)
         w = zih @ self.psd_power(zh @ x @ zh, 0.5) @ zih
@@ -407,6 +428,28 @@ class TestCorrector:
             (g @ g_inv, np.eye(n)),
         ):
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n,seed", [(2, 80), (5, 81), (9, 82)])
+    def test_directions_read_in_the_frame_without_inverses(self, n, seed):
+        # dX = R - W dZ W reads G^-1 R G^-† - G† dZ G in the frame, and the
+        # step lengths read there match lmin(L^-1 dX L^-†) and lmin(Lz^-1 dZ Lz^-†)
+        rand = TestConstraintCoords.random_hermitian
+        x, z = rand(n, seed) + 0.1 * np.eye(n), rand(n, seed + 10) + 0.1 * np.eye(n)
+        dz = rand(n, seed + 20) - 2.0 * rand(n, seed + 30)
+        r = -2.0 * x + rand(n, seed + 40)
+        g, lam = sdp._nt_scaling(np.linalg.cholesky(x), z)
+        g_inv = np.linalg.inv(g)
+        w = g @ g.conj().T
+        dx = r - w @ dz @ w
+        sz = g.conj().T @ dz @ g
+        sx = g_inv @ r @ g_inv.conj().T - sz
+        want = g_inv @ dx @ g_inv.conj().T
+        assert np.max(np.abs(sx - want)) <= 1e-10 * np.max(np.abs(want))
+        for s, ds, scaled in ((x, dx, sx), (z, dz, sz)):
+            ell_inv = np.linalg.inv(np.linalg.cholesky(s))
+            lmin = np.linalg.eigvalsh(ell_inv @ ds @ ell_inv.conj().T)[0]
+            assert lmin < -1.0  # a step short of the full one
+            assert sdp._step_estimate(lam, scaled) == pytest.approx(-sdp.STEP_FRACTION / lmin, rel=1e-10)
 
     @pytest.mark.parametrize("cap", [3, 200])
     def test_each_iterate_is_measured_once(self, monkeypatch, cap):
@@ -431,9 +474,10 @@ class TestCorrector:
 
     def test_iteration_counts(self):
         # without the second-order term these solves take 21 and 10
-        # iterations, with it 15 and 9 (OpenBLAS 0.3.31, one or two threads)
+        # iterations, with it 15 and 9, and from the least-squares start with
+        # STEP_FRACTION 0.97, 12 and 8 (OpenBLAS 0.3.31, one or two threads)
         crit8 = cq_to_density(_ensembles(0, 20)[19])  # criterion 8, seed 0, trial 19
-        assert max_entropy(crit8).certificate.iterations <= 18
+        assert max_entropy(crit8).certificate.iterations <= 13
         phi = np.zeros(4)
         phi[[0, 3]] = 2**-0.5
         phi2 = BipartiteState(DensityOperator.from_matrix(np.outer(phi, phi)), 2, 2)
