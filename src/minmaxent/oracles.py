@@ -96,22 +96,59 @@ def _bloch_ball_sigmas(step: float) -> np.ndarray:
     return sig
 
 
+def _nelder_mead(f, simplex: np.ndarray, xatol: float, fatol: float, maxiter: int) -> float:
+    """The least f found by Nelder-Mead direct search (Nelder and Mead, Comput. J. 7, 1965).
+
+    A step-by-step port of scipy's non-adaptive method="Nelder-Mead" from an initial simplex
+    with no evaluation cap, so value and evaluations are scipy's: reflect 1, expand 2, outside
+    contraction 1/2 (kept if f <= f_r), inside 1/2 (kept if f < f_worst), shrink 1/2 towards
+    the best vertex, its xatol/fatol stop test, and at most maxiter - 1 iterations.
+    """
+    sim = np.array(simplex, dtype=float)
+    fsim = np.array([f(x) for x in sim], dtype=float)
+    order = np.argsort(fsim)
+    sim, fsim = sim[order], fsim[order]
+    for _ in range(maxiter - 1):
+        if np.max(np.abs(sim[1:] - sim[0])) <= xatol and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol:
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / sim.shape[1]
+        xr = 2 * xbar - sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            outside = fxr < fsim[-1]
+            xc = 1.5 * xbar - 0.5 * sim[-1] if outside else 0.5 * xbar + 0.5 * sim[-1]
+            fxc = f(xc)
+            if (fxc <= fxr) if outside else (fxc < fsim[-1]):
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                for j in range(1, len(sim)):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+    return float(np.min(fsim))
+
+
 def min_entropy_direct_search(state: BipartiteState, resolution: float = 1e-3) -> float:
     """Direct search over conditioning states: an upper bound on 2^(-H_min).
 
     Minimizes lmax((id (x) s)^(-1/2) rho (id (x) s)^(-1/2)) over density
-    operators s on B (d_B <= 3) with a coarse grid followed by
-    Nelder-Mead refinement; any evaluated point upper-bounds the optimum,
-    and the refinement brings the gap down to the order of `resolution`.
+    operators s on B (d_B <= 3) by a coarse grid and _nelder_mead's
+    refinement; any evaluated point upper-bounds the optimum, and the
+    refinement brings the gap down to the order of `resolution`.
 
     Each refinement starts from a simplex with one step of 0.05 along
     every coordinate of theta (a start has ||theta|| = 1).  scipy's
-    default steps 2.5e-4 along a zero coordinate, so the start at the
-    maximally mixed state, whose off-diagonal coordinates are zero, took
-    up to its 4000-iteration cap to leave it.
+    default simplex, which this search used until _nelder_mead replaced
+    scipy, steps 2.5e-4 along a zero coordinate, so the start at the
+    maximally mixed state took up to the 4000-iteration cap to leave.
     """
-    import scipy.optimize  # imported here, its one use, to keep it out of `import minmaxent`
-
     d_a, d_b = state.d_A, state.d_B
     if d_b > 3:
         raise ValueError("direct search is limited to d_B <= 3")
@@ -145,18 +182,8 @@ def min_entropy_direct_search(state: BipartiteState, resolution: float = 1e-3) -
         w, v = np.linalg.eigh(s0)
         h0 = (v * np.sqrt(np.clip(w, 1e-12, None))) @ v.conj().T
         theta0 = np.einsum("kij,ji->k", basis, h0).real
-        res = scipy.optimize.minimize(
-            objective,
-            theta0,
-            method="Nelder-Mead",
-            options={
-                "initial_simplex": np.vstack([theta0, theta0 + 0.05 * np.eye(theta0.size)]),
-                "xatol": resolution * 1e-2,
-                "fatol": resolution * 1e-3,
-                "maxiter": 4000,
-            },
-        )
-        best = min(best, float(res.fun))
+        simplex = np.vstack([theta0, theta0 + 0.05 * np.eye(theta0.size)])
+        best = min(best, _nelder_mead(objective, simplex, resolution * 1e-2, resolution * 1e-3, 4000))
     return best
 
 

@@ -238,16 +238,20 @@ def _eigh(s: np.ndarray, vectors: bool = True):
     raise np.linalg.LinAlgError("Hermitian eigensolver failed on every LAPACK driver")
 
 
-def _step_estimate(lam: np.ndarray, s: np.ndarray) -> float:
-    """Largest alpha <= 1 keeping diag(lam) + alpha*s (STEP_FRACTION-)inside the cone, unverified.
-
-    An iterate is diag(lam) in the NT-scaled frame and s its direction there, so alpha
-    reads lmin(lam_i^-1/2 s_ij lam_j^-1/2), which eigvalsh takes from one triangle, so
-    it is not symmetrized.  Nothing is factored or inverted.
-    """
+def _scaled_eigvalsh(lam: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Spectrum of lam_i^-1/2 s_ij lam_j^-1/2 (eigvalsh reads one triangle: s is not symmetrized)."""
     r = lam**-0.5
-    wmin = float(_eigh(r[:, None] * s * r, vectors=False)[0])
+    return _eigh(r[:, None] * s * r, vectors=False)
+
+
+def _step_length(wmin: float) -> float:
+    """Largest alpha <= 1 with 1 + alpha*wmin >= 1 - STEP_FRACTION, wmin a least scaled eigenvalue."""
     return min(1.0, -STEP_FRACTION / wmin) if wmin < 0.0 else 1.0
+
+
+def _step_estimate(lam: np.ndarray, s: np.ndarray) -> float:
+    """Largest alpha <= 1 keeping diag(lam) + alpha*s, an NT-scaled step, inside the cone; unverified."""
+    return _step_length(float(_scaled_eigvalsh(lam, s)[0]))
 
 
 def _max_step(s: np.ndarray, d: np.ndarray, alpha: float) -> tuple[float, np.ndarray]:
@@ -375,19 +379,13 @@ def solve(problem: HermitianSdp, max_iterations: int = 200) -> SdpSolution:
 
             common = rp + a_op(w @ rd @ w)  # the right-hand side's part both solves share
 
-            def newton(rc: np.ndarray, arc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-                dy = solve_schur(common - arc)
-                dz = rd - a_adj(dy)
-                dx = rc - w @ dz @ w
-                return 0.5 * (dx + dx.conj().T), dy, 0.5 * (dz + dz.conj().T)
-
-            # Predictor: the affine step only fixes sigma; its lengths are estimated, not factored.
-            # In the scaled frame dXa = -X - W dZa W reads G^-1 dXa G^-† = -diag(lam) - G† dZa G.
-            dxa, _, dza = newton(-x, -ax)
-            sza = gh @ dza @ g
+            # Predictor: the affine step only fixes sigma; its lengths are estimated from one spectrum, as
+            # dXa = -X - W dZa W reads -diag(lam) - G† dZa G in the scaled frame, where mu_aff is read too.
+            sza = gh @ (rd - a_adj(solve_schur(common + ax))) @ g
             sxa = -np.diag(lam) - sza
-            ap, ad = _step_estimate(lam, sxa), _step_estimate(lam, sza)
-            mu_aff = max(0.0, float(np.vdot(z + ad * dza, x + ap * dxa).real)) / n
+            wa = _scaled_eigvalsh(lam, sza)
+            ap, ad = _step_length(-1.0 - float(wa[-1])), _step_length(float(wa[0]))
+            mu_aff = max(0.0, float(np.vdot(np.diag(lam) + ad * sza, np.diag(lam) + ap * sxa).real)) / n
             sigma = min(1.0, max(1e-10, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
 
             # Corrector: sigma*mu Z^-1 - X less the second-order term G[(T + T†) / (lam_i + lam_j)]G†,
@@ -396,7 +394,9 @@ def solve(problem: HermitianSdp, max_iterations: int = 200) -> SdpSolution:
             t = sxa @ sza
             s = np.diag(sigma * mu / lam) - (t + t.conj().T) / (lam[:, None] + lam)
             rc = g @ s @ gh - x
-            dx, dy, dz = newton(rc, a_op(rc))
+            dz = rd - a_adj(dy := solve_schur(common - a_op(rc)))  # Hermitian as it stands, unlike dx
+            dx = rc - w @ dz @ w
+            dx = 0.5 * (dx + dx.conj().T)
             sz = gh @ dz @ g
             ap, lx_next = _max_step(x, dx, _step_estimate(lam, s - np.diag(lam) - sz))
             ad, _ = _max_step(z, dz, _step_estimate(lam, sz))

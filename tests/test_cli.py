@@ -192,12 +192,14 @@ for verb, name in [("hmin", "random_2x3"), ("hmax", "random_2x3"), ("qcorr", "ph
 fidmax = ["fidmax", "--input", f"{lib}/random_2x2.json", "--target", f"{lib}/target_2.json"]
 assert cli.run(fidmax) == 0
 check("fidmax")
+assert cli.run(["verify", "--trials", "1", "--seed", "7"]) == 0
+check("verify")
 """
 
 
 def test_cli_import_leaves_out_scipy_optimize(tmp_path):
-    # the solver runs on numpy alone: scipy is loaded only by the eigensolver
-    # fallback and the direct-search oracle, which none of these reach
+    # the solver and the oracles run on numpy alone: scipy is loaded only by
+    # the eigensolver fallback, which none of these reach
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run(
         [sys.executable, "-c", _SCIPY_FREE_RUN, str(tmp_path)],

@@ -13,6 +13,7 @@ from minmaxent import (
     maximally_entangled,
     min_entropy,
     min_entropy_direct_search,
+    oracles,
     random_cptp_choi,
     random_density,
     root_fidelity,
@@ -111,25 +112,72 @@ class TestDirectSearch:
         hmin = min_entropy(state).value_bits
         assert bound >= 2.0 ** (-hmin) - 1e-9
 
+    @staticmethod
+    def refinements(monkeypatch, state):
+        """The search's bound, and per _nelder_mead call its arguments, evaluations and value."""
+        nelder_mead, calls = oracles._nelder_mead, []
+
+        def counted(f, *args):
+            nfev = [0]
+
+            def g(x):
+                nfev[0] += 1
+                return f(x)
+
+            value = nelder_mead(g, *args)
+            calls.append((f, args, nfev[0], value))
+            return value
+
+        monkeypatch.setattr(oracles, "_nelder_mead", counted)
+        return min_entropy_direct_search(state, resolution=1e-3), calls
+
+    @staticmethod
+    def scipy_nelder_mead(f, simplex, xatol, fatol, maxiter):
+        import scipy.optimize
+
+        options = {"initial_simplex": simplex, "xatol": xatol, "fatol": fatol, "maxiter": maxiter}
+        res = scipy.optimize.minimize(f, simplex[0], method="Nelder-Mead", options=options)
+        return res.fun, res.nfev
+
     def test_every_refinement_stops_early(self, monkeypatch):
         # verify's criterion-10 state at seed 6: from the maximally mixed
         # start, scipy's default simplex ran into the 4000-iteration cap
-        import scipy.optimize
-
-        minimize = scipy.optimize.minimize
-        nfev = []
-
-        def counted(*args, **kwargs):
-            res = minimize(*args, **kwargs)
-            nfev.append(res.nfev)
-            return res
-
-        monkeypatch.setattr(scipy.optimize, "minimize", counted)
         state = BipartiteState(random_density(4, 20011 * 6), 2, 2)
-        bound = min_entropy_direct_search(state, resolution=1e-3)
+        bound, calls = self.refinements(monkeypatch, state)
+        nfev = [n for _, _, n, _ in calls]
         assert len(nfev) == 7
         assert max(nfev) < 1000
         assert -math.log2(bound) == pytest.approx(min_entropy(state).value_bits, abs=1e-6)
+
+    def test_nelder_mead_is_scipys_on_the_criterion_10_objective(self, monkeypatch):
+        # same value after the same evaluations, refinement by refinement
+        state = BipartiteState(random_density(4, 20011 * 6), 2, 2)
+        _, calls = self.refinements(monkeypatch, state)
+        for f, args, nfev, value in calls:
+            assert (value, nfev) == self.scipy_nelder_mead(f, *args)
+
+    @pytest.mark.parametrize("maxiter", [40, 4000])
+    @pytest.mark.parametrize("kind", ["quadratic", "sqrt_abs"])
+    def test_nelder_mead_is_scipys_on_test_functions(self, kind, maxiter):
+        # a convex quadratic and the non-convex sum of sqrt|x_i - c_i|: both stop
+        # at the iteration cap of 40; of 4000, the quadratic stops at the
+        # xatol/fatol test and the sum, which takes shrink steps, at the cap
+        rng = np.random.default_rng(8)
+        g = rng.standard_normal((4, 4))
+        a, c = g @ g.T + 0.1 * np.eye(4), rng.standard_normal(4)
+        nfev = [0]
+
+        def f(x):
+            nfev[0] += 1
+            if kind == "quadratic":
+                return float((x - c) @ a @ (x - c))
+            return float(np.sum(np.sqrt(np.abs(x - c))))
+
+        simplex = np.vstack([np.zeros(4), 0.3 * np.eye(4)])
+        value = oracles._nelder_mead(f, simplex, 1e-8, 1e-10, maxiter)
+        assert (value, nfev[0]) == self.scipy_nelder_mead(f, simplex, 1e-8, 1e-10, maxiter)
+        if kind == "quadratic":
+            assert (value < 1e-9) == (maxiter == 4000)
 
     def test_large_b_rejected(self):
         with pytest.raises(ValueError):

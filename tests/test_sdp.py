@@ -348,12 +348,13 @@ class TestMaxStep:
 
     def test_solve_factors_only_the_steps_it_takes(self, monkeypatch):
         # per completed iteration: the predictor's two lengths are estimated
-        # only, the corrector's two are factor-verified (each on an estimate);
-        # every n x n Cholesky call comes from _max_step (m = 9 differs from n = 6)
+        # only, both from one scaled spectrum, the corrector's two are
+        # factor-verified (each on an estimate of its own); every n x n
+        # Cholesky call comes from _max_step (m = 9 differs from n = 6)
         p = _min_entropy_problem(random_density(6, 64).mat, 2, 3)
         n = p.dim
         calls = {"estimate": 0, "max_step": 0, "outside": 0}
-        estimate, max_step, cholesky = sdp._step_estimate, sdp._max_step, np.linalg.cholesky
+        estimate, max_step, cholesky = sdp._scaled_eigvalsh, sdp._max_step, np.linalg.cholesky
         inside = []
 
         def counted_estimate(*args):
@@ -372,13 +373,13 @@ class TestMaxStep:
             calls["outside"] += a.shape == (n, n) and not inside
             return cholesky(a, *args, **kwargs)
 
-        monkeypatch.setattr(sdp, "_step_estimate", counted_estimate)
+        monkeypatch.setattr(sdp, "_scaled_eigvalsh", counted_estimate)
         monkeypatch.setattr(sdp, "_max_step", counted_max_step)
         monkeypatch.setattr(np.linalg, "cholesky", watched_cholesky)
         sol = solve(p)
         assert sol.status == "optimal"
         steps = sol.iterations - 1  # the last iteration stops before stepping
-        assert calls == {"estimate": 4 * steps, "max_step": 2 * steps, "outside": 0}
+        assert calls == {"estimate": 3 * steps, "max_step": 2 * steps, "outside": 0}
 
     def test_solve_inverts_no_iterate_factor(self, monkeypatch):
         # step lengths and Z^-1 are read in the NT-scaled frame; only the
@@ -450,6 +451,26 @@ class TestCorrector:
             lmin = np.linalg.eigvalsh(ell_inv @ ds @ ell_inv.conj().T)[0]
             assert lmin < -1.0  # a step short of the full one
             assert sdp._step_estimate(lam, scaled) == pytest.approx(-sdp.STEP_FRACTION / lmin, rel=1e-10)
+
+    @pytest.mark.parametrize("n,seed", [(2, 90), (5, 91), (9, 92)])
+    def test_affine_step_reads_in_the_frame_from_one_spectrum(self, n, seed):
+        # dXa = -X - W dZa W reads -diag(lam) - G† dZa G: its scaled spectrum is
+        # -1 less that of dZa, and tr((Z + ad dZa)(X + ap dXa)) reads in the frame
+        rand = TestConstraintCoords.random_hermitian
+        x, z = rand(n, seed) + 0.1 * np.eye(n), rand(n, seed + 10) + 0.1 * np.eye(n)
+        dz = rand(n, seed + 20) - 2.0 * rand(n, seed + 30)
+        g, lam = sdp._nt_scaling(np.linalg.cholesky(x), z)
+        w = g @ g.conj().T
+        dx = -x - w @ dz @ w
+        sz = g.conj().T @ dz @ g
+        sx = -np.diag(lam) - sz
+        wa = sdp._scaled_eigvalsh(lam, sz)
+        assert sdp._scaled_eigvalsh(lam, sx) == pytest.approx(-1.0 - wa[::-1], rel=1e-10, abs=1e-10)
+        assert sdp._step_length(-1.0 - wa[-1]) == pytest.approx(sdp._step_estimate(lam, sx), rel=1e-10)
+        for ap, ad in ((0.3, 0.7), (1.0, 0.05)):
+            want = np.vdot(z + ad * dz, x + ap * dx).real
+            got = np.vdot(np.diag(lam) + ad * sz, np.diag(lam) + ap * sx).real
+            assert got == pytest.approx(want, rel=1e-10, abs=1e-10 * np.abs(lam).max() ** 2)
 
     @pytest.mark.parametrize("cap", [3, 200])
     def test_each_iterate_is_measured_once(self, monkeypatch, cap):
