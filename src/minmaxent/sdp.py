@@ -31,12 +31,13 @@ per family pair, G_fg the reshuffled sum of c_fs c_gt kron(W_st, W_ts^T):
 one product of the gathered blocks, O(S^2 d^4) for S blocks of size d,
 then the basis change, O(d^6).
 
-The iteration runs on numpy.linalg alone.  A step is accepted only once
-the new X (or Z) factors by Cholesky; the predictor's step is never
-taken and only estimated.  Step lengths and Z^-1 = G diag(1/lam) G^H are
-read in the NT-scaled frame G^-1 X G^-H = G^H Z G = diag(lam), so only the
-Schur matrix's factor is inverted, once per iteration.  scipy is imported
-only by the eigensolver fallback in _eigh.
+The iteration runs on numpy.linalg alone.  A step is taken at its
+estimated length only if the new X (or Z) factors by Cholesky; the
+predictor's step is never taken and only estimated.  Step lengths and
+Z^-1 = G diag(1/lam) G^H are read in the NT-scaled frame
+G^-1 X G^-H = G^H Z G = diag(lam), so only the Schur matrix's factor is
+inverted, once per iteration.  Any LinAlgError ends the solve as a
+numerical failure that keeps the last completed iterate.
 """
 
 from __future__ import annotations
@@ -66,11 +67,9 @@ STATUS_MAX_ITERATIONS = "max_iterations"
 STATUS_INFEASIBLE_SUSPECTED = "infeasible_suspected"
 STATUS_NUMERICAL_FAILURE = "numerical_failure"
 
-# Stopping targets (relative gap and residuals), the looser thresholds at
-# which a stalled iterate is still accepted as optimal, and the iterate
-# norm beyond which the problem is suspected infeasible/unbounded.
+# Stopping target (relative gap and residuals), and the iterate norm
+# beyond which the problem is suspected infeasible/unbounded.
 DEFAULT_TOL = 1e-9
-ACCEPT_TOL = 1e-7
 DIVERGENCE_LIMIT = 1e12
 # STEP_FRACTION: per cycle at benchmark seeds 1-4, 0.97 takes 459-468 iterations on minent-batch
 # and 147-153 on hmax-purified; 0.95 took 471-481 and 152-159, 0.98 456-463 and 151-156, 0.9 522-528 and 165-167.
@@ -211,31 +210,22 @@ class CertificateReport:
 
 
 def _eigh(s: np.ndarray, vectors: bool = True):
-    """Hermitian eigendecomposition (or eigenvalues only) with LAPACK fallbacks.
+    """Hermitian eigendecomposition (or eigenvalues only), read from the other triangle on failure.
 
-    numpy's divide-and-conquer route (syevd) runs first, so its result is
+    numpy's route on the lower triangle runs first, so its result is
     returned unchanged whenever it converges.  Some LAPACK builds report
-    "Eigenvalues did not converge" on benign, well-conditioned matrices,
-    so scipy's MRRR (evr) and QR (ev) drivers are tried next; a
-    LinAlgError is raised only if every route fails.  scipy is imported
-    here, its one use in the solver, to keep it out of `import minmaxent`.
+    "Eigenvalues did not converge" on benign, well-conditioned matrices
+    (syevd on tests/data/nt_scaling_syevd_nonconvergence.npy), so the same
+    call is repeated on the upper triangle: its reduction to tridiagonal
+    form runs the other way and converges there, in the same library.  An
+    SVD would lose the signs of _scaled_eigvalsh's indefinite spectra.
+    A LinAlgError from the second route is raised.
     """
+    route = np.linalg.eigh if vectors else np.linalg.eigvalsh
     try:
-        return np.linalg.eigh(s) if vectors else np.linalg.eigvalsh(s)
+        return route(s)
     except np.linalg.LinAlgError:
-        pass
-    import scipy.linalg
-
-    # check_finite=False: a non-finite iterate must end in a LinAlgError
-    # (a solver status), not in scipy's ValueError
-    for driver in ("evr", "ev"):
-        try:
-            return scipy.linalg.eigh(
-                s, eigvals_only=not vectors, driver=driver, check_finite=False
-            )
-        except np.linalg.LinAlgError:
-            continue
-    raise np.linalg.LinAlgError("Hermitian eigensolver failed on every LAPACK driver")
+        return route(s, UPLO="U")
 
 
 def _scaled_eigvalsh(lam: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -255,20 +245,11 @@ def _step_estimate(lam: np.ndarray, s: np.ndarray) -> float:
 
 
 def _max_step(s: np.ndarray, d: np.ndarray, alpha: float) -> tuple[float, np.ndarray]:
-    """The estimate alpha, accepted once s + alpha*d has a finite Cholesky factor.
-
-    The factor is returned with it; each failed attempt shrinks alpha by
-    0.8, and LinAlgError is raised when 60 attempts fail.
-    """
-    for _ in range(60):
-        try:
-            ell = np.linalg.cholesky(s + alpha * d)
-            if np.isfinite(ell).all():  # numpy's Cholesky passes NaN through
-                return alpha, ell
-        except np.linalg.LinAlgError:
-            pass
-        alpha *= 0.8
-    raise np.linalg.LinAlgError("no step keeps the iterate positive definite")
+    """The estimate alpha with the Cholesky factor of s + alpha*d; LinAlgError if it has no finite one."""
+    ell = np.linalg.cholesky(s + alpha * d)
+    if not np.isfinite(ell).all():  # numpy's Cholesky passes NaN through
+        raise np.linalg.LinAlgError("the step leaves a non-finite iterate")
+    return alpha, ell
 
 
 def _nt_scaling(lx: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -293,16 +274,15 @@ def solve(problem: HermitianSdp, max_iterations: int = 200) -> SdpSolution:
 
     The returned status is one of
       "optimal"               the certificate meets the tolerances above;
-      "max_iterations"        the iteration cap was hit or the steps stalled;
+      "max_iterations"        the iteration cap was hit;
       "infeasible_suspected"  the iterates diverged past DIVERGENCE_LIMIT;
-      "numerical_failure"     a factorization failed on every LAPACK route, or
-                              no step within 60 attempts kept X or Z factorizable.
+      "numerical_failure"     an eigendecomposition failed on both triangles, a
+                              Cholesky factorization failed, or a step at its
+                              estimated length left X or Z without a finite factor.
     A run stops as "optimal" once the primal and dual residuals and the
     relative gap meet DEFAULT_TOL and dual_value <= primal_value + 1e-9.
-    A stalled or interrupted run whose last iterate meets the same test
-    at ACCEPT_TOL reports "optimal" too.  Whatever the status, the last
-    completed iterate is returned as the certificate; no LinAlgError from
-    the iteration escapes.
+    Whatever the status, the last completed iterate is returned as the
+    certificate; no LinAlgError from the iteration escapes.
     """
     n = problem.dim
     m = problem.n_constraints
@@ -322,7 +302,6 @@ def solve(problem: HermitianSdp, max_iterations: int = 200) -> SdpSolution:
 
     status = STATUS_MAX_ITERATIONS
     iterations = 0
-    stall = 0
 
     def measure(x, y, z):
         rp = b - (ax := a_op(x))
@@ -349,8 +328,7 @@ def solve(problem: HermitianSdp, max_iterations: int = 200) -> SdpSolution:
             status = STATUS_INFEASIBLE_SUSPECTED
             break
 
-        # Any LinAlgError left after _eigh's fallbacks and _max_step's shrinking
-        # ends the loop; (x, lx, y, z) are only replaced by a completed step.
+        # Any LinAlgError ends the loop; (x, lx, y, z) are only replaced by a completed step.
         try:
             # Nesterov-Todd scaling point W = G G† with W Z W = X.
             g, lam = _nt_scaling(lx, z)
@@ -361,14 +339,9 @@ def solve(problem: HermitianSdp, max_iterations: int = 200) -> SdpSolution:
             schur = problem._schur(w)
             schur = 0.5 * (schur + schur.T)
             reg = 1e-14 * max(float(np.trace(schur)) / m, 1.0)
-            try:
-                schur_inv = np.linalg.inv(np.linalg.cholesky(schur + reg * np.eye(m)))
-            except np.linalg.LinAlgError:
-                schur_inv = None
+            schur_inv = np.linalg.inv(np.linalg.cholesky(schur + reg * np.eye(m)))
 
             def solve_schur(rhs: np.ndarray) -> np.ndarray:
-                if schur_inv is None:
-                    return np.linalg.lstsq(schur, rhs, rcond=None)[0]
                 dy = schur_inv.T @ (schur_inv @ rhs)
                 # two rounds of iterative refinement against the unregularized
                 # Schur matrix; near the optimum it is severely ill-conditioned
@@ -408,20 +381,8 @@ def solve(problem: HermitianSdp, max_iterations: int = 200) -> SdpSolution:
             status = STATUS_NUMERICAL_FAILURE
             break
 
-        if ap < 1e-10 and ad < 1e-10:
-            stall += 1
-            if stall >= 3:
-                break
-        else:
-            stall = 0
-
-    if status == STATUS_MAX_ITERATIONS:  # the cap or the stall rule: the last step is unmeasured
-        *_, pv, dv, pinf, dinf, relgap = measure(x, y, z)
-    # a stalled or interrupted iterate is accepted at the looser thresholds
-    if status != STATUS_INFEASIBLE_SUSPECTED and (
-        pinf <= ACCEPT_TOL and dinf <= ACCEPT_TOL and relgap <= ACCEPT_TOL and dv <= pv + 1e-9
-    ):
-        status = STATUS_OPTIMAL
+    if status == STATUS_MAX_ITERATIONS:  # the cap: the last step is unmeasured
+        pv, dv = measure(x, y, z)[4:6]
 
     return SdpSolution(
         X_star=HermitianOperator(x),

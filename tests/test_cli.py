@@ -1,12 +1,12 @@
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from minmaxent import cli
 from minmaxent import verify as verify_mod
@@ -194,15 +194,33 @@ assert cli.run(fidmax) == 0
 check("fidmax")
 assert cli.run(["verify", "--trials", "1", "--seed", "7"]) == 0
 check("verify")
+
+# the eigensolver's fallback, forced by making numpy's first route fail
+import numpy as np
+from minmaxent import sdp
+
+def lower_fails(route):
+    def patched(s, UPLO="L"):
+        if UPLO == "L":
+            raise np.linalg.LinAlgError("injected failure")
+        return route(s, UPLO=UPLO)
+    return patched
+
+np.linalg.eigh, np.linalg.eigvalsh = lower_fails(np.linalg.eigh), lower_fails(np.linalg.eigvalsh)
+a = np.load(sys.argv[2])
+(w, v), values = sdp._eigh(a), sdp._eigh(a, vectors=False)
+check("the eigensolver fallback")
+assert np.linalg.norm(a @ v - v * w) <= 1e-12 * np.abs(w).max()
+assert np.array_equal(values, np.linalg.eigvalsh(a, UPLO="U"))
 """
 
 
-def test_cli_import_leaves_out_scipy_optimize(tmp_path):
-    # the solver and the oracles run on numpy alone: scipy is loaded only by
-    # the eigensolver fallback, which none of these reach
+def test_cli_verbs_and_eigensolver_fallback_leave_out_scipy(tmp_path):
+    # the solver, its eigensolver fallback and the oracles run on numpy alone
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    matrix = pathlib.Path(__file__).parent / "data" / "nt_scaling_syevd_nonconvergence.npy"
     out = subprocess.run(
-        [sys.executable, "-c", _SCIPY_FREE_RUN, str(tmp_path)],
+        [sys.executable, "-c", _SCIPY_FREE_RUN, str(tmp_path), str(matrix)],
         capture_output=True, text=True, env=env,
     )
     assert out.returncode == 0, out.stderr
@@ -213,8 +231,7 @@ def _raise_linalg(*args, **kwargs):
 
 
 def test_solver_numerical_failure_exits_1(library, capsys, monkeypatch):
-    monkeypatch.setattr(np.linalg, "eigh", _raise_linalg)
-    monkeypatch.setattr(scipy.linalg, "eigh", _raise_linalg)
+    monkeypatch.setattr(np.linalg, "eigh", _raise_linalg)  # both triangles fail
     assert run(["hmin", "--input", str(library / "phi2.json")]) == 1
     captured = capsys.readouterr()
     assert "solver failure" in captured.err and "numerical_failure" in captured.err

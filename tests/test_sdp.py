@@ -309,20 +309,34 @@ class TestMaxStep:
         assert ell.tobytes() == np.linalg.cholesky(new).tobytes()
         assert np.max(np.abs(ell @ ell.conj().T - new)) <= 1e-12 * np.max(np.abs(new))
 
-    def test_overshooting_estimate_is_shrunk_until_the_factor_exists(self):
+    def test_overshooting_estimate_is_a_numerical_failure(self, monkeypatch):
         # estimated against 50 s, the step reads a spectrum 50 times
         # too small and asks for the full step, past the boundary of the cone
         s, lam, scaled = self.pd_and_frame(4, 54)
         d = -TestConstraintCoords.random_hermitian(4, 55)
         estimate = sdp._step_estimate(50.0 * lam, scaled(d))
-        alpha, _ = sdp._max_step(s, d, estimate)
-        tried = [estimate]
-        while tried[-1] > alpha:
-            tried.append(tried[-1] * 0.8)
-        assert len(tried) >= 2 and tried[-1] == alpha
-        assert np.linalg.eigvalsh(s + alpha * d)[0] > 0.0
-        for a in tried[:-1]:
-            assert np.linalg.eigvalsh(s + a * d)[0] <= 0.0
+        assert np.linalg.eigvalsh(s + estimate * d)[0] <= 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            sdp._max_step(s, d, estimate)
+        # in a solve, the first step short of the full one overshoots alike
+        step_estimate = sdp._step_estimate
+        monkeypatch.setattr(sdp, "_step_estimate", lambda lam, s: step_estimate(50.0 * lam, s))
+        sol = solve(domination_problem(random_density(3, 16).mat))
+        assert sol.status == "numerical_failure"
+        assert np.all(np.isfinite(sol.X_star.mat)) and np.all(np.isfinite(sol.Z_star.mat))
+
+    def test_nan_direction_is_rejected_by_the_factor_check(self):
+        # the eigensolver reads [[nan, 0], [0, 1]] as [0, -0] instead of
+        # failing, so the estimate asks for the full step along it; numpy's
+        # Cholesky passes the NaN through, and only the finite-factor check
+        # rejects the step (in the frame of X = Z = I a direction is its own
+        # scaled form)
+        d = np.array([[np.nan, 0.0], [0.0, 1.0]])
+        s, lam = np.eye(2), np.ones(2)
+        assert sdp._step_estimate(lam, d) == 1.0
+        assert not np.isfinite(np.linalg.cholesky(s + d)).all()
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+            sdp._max_step(s, d, 1.0)
 
     def test_step_estimate_is_the_spectral_formula(self):
         _, lam, scaled = self.pd_and_frame(5, 58)
@@ -510,8 +524,20 @@ def _raise_linalg(*args, **kwargs):
 
 
 def _fail_every_eigh_route(monkeypatch) -> None:
+    # both of _eigh's routes call np.linalg.eigh, on one triangle each
     monkeypatch.setattr(np.linalg, "eigh", _raise_linalg)
-    monkeypatch.setattr(scipy.linalg, "eigh", _raise_linalg)
+
+
+def _lower_triangle_fails(route, calls: list):
+    """route, made to fail on its default (lower) triangle; calls records the triangles asked for."""
+
+    def patched(s, UPLO="L"):
+        calls.append(UPLO)
+        if UPLO == "L":
+            raise np.linalg.LinAlgError("injected failure")
+        return route(s, UPLO=UPLO)
+
+    return patched
 
 
 def assert_eigendecomposition(a: np.ndarray, w: np.ndarray, v: np.ndarray, ref: np.ndarray):
@@ -543,29 +569,16 @@ class TestEigenFallback:
         g = g[0] + 1j * g[1]
         mats = [np.load(DATA / "nt_scaling_syevd_nonconvergence.npy"), g @ g.conj().T]
         refs = [np.linalg.eigvalsh(a) for a in mats]
-        scipy_eigh = scipy.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", _raise_linalg)
-        monkeypatch.setattr(np.linalg, "eigvalsh", _raise_linalg)
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigh", _lower_triangle_fails(np.linalg.eigh, calls))
+        monkeypatch.setattr(np.linalg, "eigvalsh", _lower_triangle_fails(np.linalg.eigvalsh, calls))
         for a, ref in zip(mats, refs):
+            calls.clear()
             w, v = sdp._eigh(a)
+            assert calls == ["L", "U"]
             assert_eigendecomposition(a, w, v, ref)
             assert np.max(np.abs(sdp._eigh(a, vectors=False) - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-        # with evr failing as well, the QR driver still delivers
-        drivers = []
-
-        def evr_fails(s, *args, driver=None, **kwargs):
-            drivers.append(driver)
-            if driver == "evr":
-                raise np.linalg.LinAlgError("injected evr failure")
-            return scipy_eigh(s, *args, driver=driver, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "eigh", evr_fails)
-        for a, ref in zip(mats, refs):
-            drivers.clear()
-            w, v = sdp._eigh(a)
-            assert drivers == ["evr", "ev"]
-            assert_eigendecomposition(a, w, v, ref)
+            assert calls == ["L", "U"] * 2
 
     def test_every_route_failing_raises_linalg_error(self, monkeypatch):
         _fail_every_eigh_route(monkeypatch)
@@ -598,10 +611,9 @@ class TestEigenFallback:
             return numpy_eigh(s, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", fails_from_fourth_call)
-        monkeypatch.setattr(scipy.linalg, "eigh", _raise_linalg)
         sol = solve(p)
         assert sol.status == "numerical_failure"
-        assert sol.iterations == 4
+        assert sol.iterations == 4 and len(calls) == 5  # the fourth iteration tried both triangles
         assert sol.X_star.mat.tobytes() == capped.X_star.mat.tobytes()
         assert sol.y_star.tobytes() == capped.y_star.tobytes()
         assert sol.Z_star.mat.tobytes() == capped.Z_star.mat.tobytes()
@@ -609,11 +621,25 @@ class TestEigenFallback:
         assert sol.dual_value == capped.dual_value
 
     def test_cholesky_failure_is_a_numerical_failure(self, monkeypatch):
+        # Cholesky fails on every matrix, then on the m x m Schur matrix
+        # alone (m = 9 differs from n = 6); either ends the first iteration
         p = domination_problem(random_density(3, 16).mat)
-        monkeypatch.setattr(np.linalg, "cholesky", _raise_linalg)
-        sol = solve(p)
-        assert sol.status == "numerical_failure"
-        assert np.all(np.isfinite(sol.X_star.mat)) and np.all(np.isfinite(sol.y_star))
+        m = p.n_constraints
+        assert m != p.dim
+        cholesky, schur_calls = np.linalg.cholesky, []
+
+        def fails_on_schur(a, *args, **kwargs):
+            if a.shape == (m, m):
+                schur_calls.append(1)
+                raise np.linalg.LinAlgError("injected Schur failure")
+            return cholesky(a, *args, **kwargs)
+
+        for failing in (_raise_linalg, fails_on_schur):
+            monkeypatch.setattr(np.linalg, "cholesky", failing)
+            sol = solve(p)
+            assert sol.status == "numerical_failure" and sol.iterations == 1
+            assert np.all(np.isfinite(sol.X_star.mat)) and np.all(np.isfinite(sol.y_star))
+        assert schur_calls == [1]
 
     def test_non_finite_newton_direction_is_a_numerical_failure(self, monkeypatch):
         # a NaN Schur matrix reaches LAPACK, which reports the failure
@@ -630,29 +656,6 @@ class TestEigenFallback:
         sol = solve(p)
         assert sol.status == "numerical_failure"
         assert np.all(np.isfinite(sol.X_star.mat)) and np.all(np.isfinite(sol.y_star))
-
-    @pytest.mark.parametrize("d_a,d_b,seed", [(2, 3, 41), (3, 2, 42), (2, 4, 43), (4, 2, 44)])
-    def test_schur_lstsq_fallback_reaches_the_optimum(self, monkeypatch, d_a, d_b, seed):
-        # Cholesky fails on the m x m Schur matrix only (m = d_b^2 differs
-        # from n = d_a d_b), so every Newton system goes through lstsq
-        p = _min_entropy_problem(random_density(d_a * d_b, seed).mat, d_a, d_b)
-        m = p.n_constraints
-        assert m != p.dim
-        ref = solve(p)
-        cholesky = np.linalg.cholesky
-        schur_calls = []
-
-        def fails_on_schur(s, *args, **kwargs):
-            if s.shape == (m, m):
-                schur_calls.append(1)
-                raise np.linalg.LinAlgError("injected Schur failure")
-            return cholesky(s, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "cholesky", fails_on_schur)
-        sol = solve(p)
-        assert len(schur_calls) == sol.iterations - 1
-        assert sol.status == ref.status == "optimal"
-        assert sol.dual_value == pytest.approx(ref.dual_value, abs=1e-9)
 
     def test_min_entropy_raises_solver_error(self, monkeypatch):
         state = BipartiteState(random_density(4, 17), 2, 2)
