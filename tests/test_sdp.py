@@ -621,9 +621,17 @@ class TestEigenFallback:
         assert sol.dual_value == capped.dual_value
 
     def test_cholesky_failure_is_a_numerical_failure(self, monkeypatch):
-        # Cholesky fails on every matrix, then on the m x m Schur matrix
-        # alone (m = 9 differs from n = 6); either ends the first iteration
         p = domination_problem(random_density(3, 16).mat)
+        monkeypatch.setattr(np.linalg, "cholesky", _raise_linalg)
+        sol = solve(p)
+        assert sol.status == "numerical_failure"
+        assert np.all(np.isfinite(sol.X_star.mat)) and np.all(np.isfinite(sol.y_star))
+
+    @pytest.mark.parametrize("d_a,d_b,seed", [(2, 3, 41), (3, 2, 42), (2, 4, 43), (4, 2, 44)])
+    def test_schur_cholesky_failure_is_a_numerical_failure(self, monkeypatch, d_a, d_b, seed):
+        # Cholesky fails on the m x m Schur matrix only (m = d_b^2 differs
+        # from n = d_a d_b); the first Newton system ends the solve
+        p = _min_entropy_problem(random_density(d_a * d_b, seed).mat, d_a, d_b)
         m = p.n_constraints
         assert m != p.dim
         cholesky, schur_calls = np.linalg.cholesky, []
@@ -634,12 +642,13 @@ class TestEigenFallback:
                 raise np.linalg.LinAlgError("injected Schur failure")
             return cholesky(a, *args, **kwargs)
 
-        for failing in (_raise_linalg, fails_on_schur):
-            monkeypatch.setattr(np.linalg, "cholesky", failing)
-            sol = solve(p)
-            assert sol.status == "numerical_failure" and sol.iterations == 1
-            assert np.all(np.isfinite(sol.X_star.mat)) and np.all(np.isfinite(sol.y_star))
+        monkeypatch.setattr(np.linalg, "cholesky", fails_on_schur)
+        sol = solve(p)
         assert schur_calls == [1]
+        assert sol.status == "numerical_failure" and sol.iterations == 1
+        for arr in (sol.X_star.mat, sol.y_star, sol.Z_star.mat):
+            assert np.all(np.isfinite(arr))
+        assert np.isfinite(sol.primal_value) and np.isfinite(sol.dual_value)
 
     def test_non_finite_newton_direction_is_a_numerical_failure(self, monkeypatch):
         # a NaN Schur matrix reaches LAPACK, which reports the failure
