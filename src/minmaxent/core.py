@@ -59,6 +59,25 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _eigh(s: np.ndarray, vectors: bool = True):
+    """Hermitian eigendecomposition (or eigenvalues only), read from the other triangle on failure.
+
+    numpy's route on the lower triangle runs first, so its result is
+    returned unchanged whenever it converges.  Some LAPACK builds report
+    "Eigenvalues did not converge" on benign, well-conditioned matrices
+    (syevd on tests/data/nt_scaling_syevd_nonconvergence.npy), so the same
+    call is repeated on the upper triangle: its reduction to tridiagonal
+    form runs the other way and converges there, in the same library.  An
+    SVD would lose the signs of the solver's indefinite spectra.
+    A LinAlgError from the second route is raised.
+    """
+    route = np.linalg.eigh if vectors else np.linalg.eigvalsh
+    try:
+        return route(s)
+    except np.linalg.LinAlgError:
+        return route(s, UPLO="U")
+
+
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
     """A dense complex square matrix, symmetrized to be exactly Hermitian.
@@ -94,7 +113,7 @@ class DensityOperator:
     op: HermitianOperator
 
     def __post_init__(self) -> None:
-        evals = np.linalg.eigvalsh(self.op.mat)
+        evals = _eigh(self.op.mat, vectors=False)
         if evals[0] < -PSD_ATOL:
             raise ValueError(f"density operator has eigenvalue {evals[0]:.3e} < -{PSD_ATOL}")
         tr = float(np.trace(self.op.mat).real)
@@ -222,10 +241,10 @@ def partial_trace(m: HermitianOperator, d_A: int, d_B: int, keep: str) -> Hermit
 def eig_hermitian(m: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
     """Spectral decomposition m = V diag(w) V† with eigenvalues descending.
 
-    Raises numpy.linalg.LinAlgError if the QR iteration fails to converge,
-    which signals numerically pathological input.
+    Raises numpy.linalg.LinAlgError if the eigensolver fails on both
+    triangles, which signals numerically pathological input.
     """
-    w, v = np.linalg.eigh(m.mat)
+    w, v = _eigh(m.mat)
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
@@ -235,7 +254,7 @@ def matrix_function(m: HermitianOperator, f: str) -> HermitianOperator:
     pinv_sqrt follows the pseudo-inverse convention: eigenvalues below
     RANK_RTOL times the largest are mapped to zero.
     """
-    w, v = np.linalg.eigh(m.mat)
+    w, v = _eigh(m.mat)
     if f in ("sqrt", "pinv_sqrt"):
         if w[0] < -PSD_ATOL:
             raise ValueError(f"matrix has eigenvalue {w[0]:.3e} < -{PSD_ATOL}, cannot take {f}")
@@ -254,7 +273,7 @@ def matrix_function(m: HermitianOperator, f: str) -> HermitianOperator:
 
 def trace_norm(m: HermitianOperator) -> float:
     """Sum of absolute eigenvalues (Schatten 1-norm of a Hermitian matrix)."""
-    return float(np.sum(np.abs(np.linalg.eigvalsh(m.mat))))
+    return float(np.sum(np.abs(_eigh(m.mat, vectors=False))))
 
 
 def _psd_factor(mat: np.ndarray, rtol: float = 0.0) -> np.ndarray:
@@ -263,7 +282,7 @@ def _psd_factor(mat: np.ndarray, rtol: float = 0.0) -> np.ndarray:
     10 d eps lies above the eigensolver's rounding level for d x d mat.  Columns
     follow the eigenvalues in descending order; at least one is kept.
     """
-    w, v = np.linalg.eigh(mat)
+    w, v = _eigh(mat)
     w, v = w[::-1], v[:, ::-1]
     cutoff = max(rtol, 10 * len(w) * np.finfo(float).eps) * max(w[0], 0.0)
     rank = max(1, int(np.sum(w > cutoff)))

@@ -36,6 +36,7 @@ from .core import (
     HermitianOperator,
     PureState,
     RANK_RTOL,
+    _eigh,
     _matrix_to_json,
     _partial_trace_mat,
     _root_fidelity_mats,
@@ -108,10 +109,10 @@ def max_relative_entropy(tau: HermitianOperator, tau_prime: HermitianOperator) -
     if tau.dim != tau_prime.dim:
         raise ValueError("operators must have equal dimensions")
     for name, op in (("tau", tau), ("tau_prime", tau_prime)):
-        ev = float(np.linalg.eigvalsh(op.mat)[0])
+        ev = float(_eigh(op.mat, vectors=False)[0])
         if ev < -SUPPORT_LEAK_ATOL:
             raise ValueError(f"{name} has eigenvalue {ev:.3e}, not positive semidefinite")
-    w, v = np.linalg.eigh(tau_prime.mat)
+    w, v = _eigh(tau_prime.mat)
     w = np.clip(w, 0.0, None)
     support = w > RANK_RTOL * max(float(w[-1]), 1e-300)
     leak = float(np.trace(tau.mat).real) - float(
@@ -120,7 +121,7 @@ def max_relative_entropy(tau: HermitianOperator, tau_prime: HermitianOperator) -
     if leak > SUPPORT_LEAK_ATOL:
         return math.inf
     inv_sqrt = (v[:, support] * w[support] ** -0.5) @ v[:, support].conj().T
-    lam_max = float(np.linalg.eigvalsh(inv_sqrt @ tau.mat @ inv_sqrt)[-1])
+    lam_max = float(_eigh(inv_sqrt @ tau.mat @ inv_sqrt, vectors=False)[-1])
     if lam_max <= 0.0:
         return -math.inf
     return math.log2(lam_max)
@@ -155,7 +156,7 @@ def _solve_min_entropy_operator(
 
     sigma = -np.einsum("k,kij->ij", sol.y_star, hermitian_basis(d_b))
     e_ab = sol.X_star.mat
-    w, v = np.linalg.eigh(_partial_trace_mat(e_ab, d_a, d_b, "B"))
+    w, v = _eigh(_partial_trace_mat(e_ab, d_a, d_b, "B"))
     fix = np.kron(np.eye(d_a), (v * w**-0.5) @ v.conj().T)
     e_ab = fix @ e_ab @ fix
     return sol, sigma, 0.5 * (e_ab + e_ab.conj().T)
@@ -271,7 +272,7 @@ def decoupling_accuracy(state: BipartiteState) -> tuple[float, DensityOperator]:
 def _decoupling_at_optimizer(hmax: EntropyReport, amp: np.ndarray) -> tuple[float, DensityOperator]:
     """decoupling_accuracy from _max_entropy_purified's report and amplitudes, without a solve."""
     d_a, _, d_c = amp.shape
-    w, v = np.linalg.eigh(hmax.dual_optimizer.op.mat)
+    w, v = _eigh(hmax.dual_optimizer.op.mat)
     k = (v * np.sqrt(np.clip(w, 0.0, None))).reshape(d_a, d_c, -1)
     # E = K K†, so tr_AC[(E (x) id_B) psi psi†] = W W† with W = sum_ac psi K*
     wb = np.einsum("abc,acj->bj", amp, k.conj())
@@ -317,7 +318,7 @@ def max_target_fidelity(state: BipartiteState, target: PureState) -> float:
         raise ValueError(f"target must live on A (x) A' with dimension {d_a * d_a}")
     amp = target.amplitudes.reshape(d_a, d_a)
     tau = amp @ amp.conj().T
-    w, v = np.linalg.eigh(tau)
+    w, v = _eigh(tau)
     if float(w[0]) <= SCHMIDT_ATOL:
         raise ValueError("target does not have full Schmidt rank")
     sqrt_tau = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
@@ -339,17 +340,17 @@ def closed_form_entropies(state: BipartiteState, case: str) -> tuple[float, floa
     """
     rho = state.mat
     rho_a = _partial_trace_mat(rho, state.d_A, state.d_B, "A")
-    ev_a = np.clip(np.linalg.eigvalsh(rho_a), 0.0, None)
+    ev_a = np.clip(_eigh(rho_a, vectors=False), 0.0, None)
     lam_max_a = float(ev_a[-1])
     tr_sqrt_a = float(np.sum(np.sqrt(ev_a)))
     if case == "product":
         rho_b = _partial_trace_mat(rho, state.d_A, state.d_B, "B")
-        dist = float(np.sum(np.abs(np.linalg.eigvalsh(rho - np.kron(rho_a, rho_b)))))
+        dist = float(np.sum(np.abs(_eigh(rho - np.kron(rho_a, rho_b), vectors=False))))
         if dist > PRODUCT_ATOL:
             raise ValueError(f"state is not a product state (trace distance {dist:.3e})")
         return -math.log2(lam_max_a), 2.0 * math.log2(tr_sqrt_a)
     if case == "pure":
-        lam_max = float(np.linalg.eigvalsh(rho)[-1])
+        lam_max = float(_eigh(rho, vectors=False)[-1])
         if lam_max < 1.0 - PURE_ATOL:
             raise ValueError(f"state is not pure (largest eigenvalue {lam_max!r})")
         return -math.log2(tr_sqrt_a**2), math.log2(lam_max_a)

@@ -82,18 +82,26 @@ def _coverage(rho: np.ndarray, d_a: int, d_b: int, sigmas: np.ndarray) -> np.nda
     return np.linalg.eigvalsh(big @ rho @ big)[..., -1]
 
 
-def _bloch_ball_sigmas(step: float) -> np.ndarray:
-    """Qubit states on a Bloch-ball grid of the given step, slightly inside."""
+def _bloch_ball_sigmas(step: float) -> list[np.ndarray]:
+    """Qubit states on a Bloch-ball grid of the given step, slightly inside, one slice per x.
+
+    The slices concatenate to the grid raveled x-major (meshgrid's "ij" order),
+    and each holds at most len(axis)**2 states, so a caller scoring one slice at
+    a time holds stacks of that size rather than of the whole ball.
+    """
     axis = np.arange(-1.0, 1.0 + 0.5 * step, step)
-    gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
-    pts = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
-    pts = pts[np.linalg.norm(pts, axis=1) <= 0.999]
-    sig = np.zeros((len(pts), 2, 2), dtype=complex)
-    sig[:, 0, 0] = 0.5 * (1.0 + pts[:, 2])
-    sig[:, 1, 1] = 0.5 * (1.0 - pts[:, 2])
-    sig[:, 0, 1] = 0.5 * (pts[:, 0] - 1j * pts[:, 1])
-    sig[:, 1, 0] = 0.5 * (pts[:, 0] + 1j * pts[:, 1])
-    return sig
+    gy, gz = np.meshgrid(axis, axis, indexing="ij")
+    slices = []
+    for x in axis:
+        pts = np.stack([np.full(gy.size, x), gy.ravel(), gz.ravel()], axis=1)
+        pts = pts[np.linalg.norm(pts, axis=1) <= 0.999]
+        sig = np.zeros((len(pts), 2, 2), dtype=complex)
+        sig[:, 0, 0] = 0.5 * (1.0 + pts[:, 2])
+        sig[:, 1, 1] = 0.5 * (1.0 - pts[:, 2])
+        sig[:, 0, 1] = 0.5 * (pts[:, 0] - 1j * pts[:, 1])
+        sig[:, 1, 0] = 0.5 * (pts[:, 0] + 1j * pts[:, 1])
+        slices.append(sig)
+    return slices
 
 
 def _nelder_mead(f, simplex: np.ndarray, xatol: float, fatol: float, maxiter: int) -> float:
@@ -141,7 +149,10 @@ def min_entropy_direct_search(state: BipartiteState, resolution: float = 1e-3) -
     Minimizes lmax((id (x) s)^(-1/2) rho (id (x) s)^(-1/2)) over density
     operators s on B (d_B <= 3) by a coarse grid and _nelder_mead's
     refinement; any evaluated point upper-bounds the optimum, and the
-    refinement brings the gap down to the order of `resolution`.
+    refinement brings the gap down to the order of `resolution`.  For
+    d_B = 2 the Bloch grid (8144 states) is scored one x-slice (at most 676
+    states) at a time, so _coverage never holds stacks of the whole grid;
+    the six best-scoring states are the grid's starts.
 
     Each refinement starts from a simplex with one step of 0.05 along
     every coordinate of theta (a start has ||theta|| = 1).  scipy's
@@ -156,10 +167,9 @@ def min_entropy_direct_search(state: BipartiteState, resolution: float = 1e-3) -
 
     starts: list[np.ndarray] = [np.eye(d_b, dtype=complex) / d_b]
     if d_b == 2:
-        sigmas = _bloch_ball_sigmas(0.08)
-        vals = _coverage(rho, d_a, d_b, sigmas)
-        order = np.argsort(vals)
-        starts.extend(sigmas[order[:6]])
+        slices = _bloch_ball_sigmas(0.08)
+        vals = np.concatenate([_coverage(rho, d_a, d_b, sig) for sig in slices])
+        starts.extend(np.concatenate(slices)[np.argsort(vals)[:6]])
     else:
         rng = np.random.default_rng(0)
         for _ in range(12):

@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import HermitianOperator, hermitian_basis
+from .core import HermitianOperator, _eigh, hermitian_basis
 
 __all__ = [
     "HermitianSdp",
@@ -207,25 +207,6 @@ class CertificateReport:
     gap: float
     value_mismatch: float
     weak_duality_violation: float
-
-
-def _eigh(s: np.ndarray, vectors: bool = True):
-    """Hermitian eigendecomposition (or eigenvalues only), read from the other triangle on failure.
-
-    numpy's route on the lower triangle runs first, so its result is
-    returned unchanged whenever it converges.  Some LAPACK builds report
-    "Eigenvalues did not converge" on benign, well-conditioned matrices
-    (syevd on tests/data/nt_scaling_syevd_nonconvergence.npy), so the same
-    call is repeated on the upper triangle: its reduction to tridiagonal
-    form runs the other way and converges there, in the same library.  An
-    SVD would lose the signs of _scaled_eigvalsh's indefinite spectra.
-    A LinAlgError from the second route is raised.
-    """
-    route = np.linalg.eigh if vectors else np.linalg.eigvalsh
-    try:
-        return route(s)
-    except np.linalg.LinAlgError:
-        return route(s, UPLO="U")
 
 
 def _scaled_eigvalsh(lam: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -421,8 +402,8 @@ def check_certificate(problem: HermitianSdp, solution: SdpSolution) -> Certifica
     return CertificateReport(
         constraint_residual=max(residuals),
         dual_residual=dual_res,
-        min_eig_X=float(np.linalg.eigvalsh(x)[0]),
-        min_eig_Z=float(np.linalg.eigvalsh(z)[0]),
+        min_eig_X=float(_eigh(x, vectors=False)[0]),
+        min_eig_Z=float(_eigh(z, vectors=False)[0]),
         primal_value=pv,
         dual_value=dv,
         gap=pv - dv,

@@ -28,7 +28,7 @@ from minmaxent import (
 )
 from minmaxent.verify import _full_rank_target, _pair_state
 
-from conftest import random_state
+from conftest import lower_triangle_fails, random_state
 
 HELSTROM_VALUE = 0.5 + 0.5 / math.sqrt(2.0)
 
@@ -420,3 +420,24 @@ class TestStructuralIdentities:
                 BipartiteState(DensityOperator.from_matrix(rho_ab), 2, 2)
             ).value_bits
             assert h_abc <= h_ab + 1e-7
+
+
+@pytest.mark.parametrize(
+    "quantity",
+    [
+        lambda s: min_entropy(s).value_bits,
+        lambda s: singlet_fraction(s)[0],
+        lambda s: max_entropy(s).value_bits,
+        lambda s: decoupling_accuracy(s)[0],
+    ],
+    ids=["min_entropy", "singlet_fraction", "max_entropy", "decoupling_accuracy"],
+)
+def test_eigensolver_failure_on_the_lower_triangle_is_recovered(monkeypatch, quantity):
+    # the eigendecompositions around the solve (fixing tr_A E, purify's factor, the
+    # DensityOperator checks) take the solver's upper-triangle route as well
+    state = random_state(2, 3, seed=8)
+    expected, calls = quantity(state), []
+    monkeypatch.setattr(np.linalg, "eigh", lower_triangle_fails(np.linalg.eigh, calls))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lower_triangle_fails(np.linalg.eigvalsh, calls))
+    assert quantity(state) == pytest.approx(expected, abs=1e-9)
+    assert "U" in calls

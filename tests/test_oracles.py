@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -178,6 +179,34 @@ class TestDirectSearch:
         assert (value, nfev[0]) == self.scipy_nelder_mead(f, simplex, 1e-8, 1e-10, maxiter)
         if kind == "quadratic":
             assert (value < 1e-9) == (maxiter == 4000)
+
+    def test_search_memory_is_bounded(self):
+        # one _coverage call over the whole grid peaks at 15.8 MB here; one x-slice at a time, at 1.7 MB
+        state = random_state(3, 2, seed=9)
+        tracemalloc.start()
+        try:
+            min_entropy_direct_search(state, resolution=1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+    @pytest.mark.parametrize("d_a", [2, 3])
+    def test_sliced_scores_equal_the_whole_grid(self, d_a):
+        slices = oracles._bloch_ball_sigmas(0.08)
+        grid = np.concatenate(slices)
+        assert len(grid) == 8144 and max(len(s) for s in slices) <= 26**2
+        # the slices keep the x-major order of the whole meshgrid
+        axis = np.arange(-1.0, 1.04, 0.08)
+        pts = np.stack([g.ravel() for g in np.meshgrid(axis, axis, axis, indexing="ij")], axis=1)
+        pts = pts[np.linalg.norm(pts, axis=1) <= 0.999]
+        assert np.array_equal(grid[:, 1, 0], 0.5 * (pts[:, 0] + 1j * pts[:, 1]))
+        assert np.array_equal(grid[:, 0, 0], 0.5 * (1.0 + pts[:, 2]))
+        rho = random_state(d_a, 2, seed=10).mat
+        whole = oracles._coverage(rho, d_a, 2, grid)  # the reference: one call over the whole grid
+        sliced = np.concatenate([oracles._coverage(rho, d_a, 2, s) for s in slices])
+        assert np.array_equal(sliced, whole)
+        assert np.array_equal(grid[np.argsort(sliced)[:6]], grid[np.argsort(whole)[:6]])
 
     def test_large_b_rejected(self):
         with pytest.raises(ValueError):

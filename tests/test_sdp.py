@@ -26,6 +26,8 @@ from minmaxent.entropy import _min_entropy_problem
 from minmaxent.oracles import _fidelity_problem
 from minmaxent.verify import _ensembles
 
+from conftest import lower_triangle_fails
+
 DATA = pathlib.Path(__file__).parent / "data"
 
 
@@ -528,18 +530,6 @@ def _fail_every_eigh_route(monkeypatch) -> None:
     monkeypatch.setattr(np.linalg, "eigh", _raise_linalg)
 
 
-def _lower_triangle_fails(route, calls: list):
-    """route, made to fail on its default (lower) triangle; calls records the triangles asked for."""
-
-    def patched(s, UPLO="L"):
-        calls.append(UPLO)
-        if UPLO == "L":
-            raise np.linalg.LinAlgError("injected failure")
-        return route(s, UPLO=UPLO)
-
-    return patched
-
-
 def assert_eigendecomposition(a: np.ndarray, w: np.ndarray, v: np.ndarray, ref: np.ndarray):
     scale = float(np.max(np.abs(ref)))
     assert np.max(np.abs(v.conj().T @ v - np.eye(a.shape[0]))) <= 1e-12
@@ -570,8 +560,8 @@ class TestEigenFallback:
         mats = [np.load(DATA / "nt_scaling_syevd_nonconvergence.npy"), g @ g.conj().T]
         refs = [np.linalg.eigvalsh(a) for a in mats]
         calls = []
-        monkeypatch.setattr(np.linalg, "eigh", _lower_triangle_fails(np.linalg.eigh, calls))
-        monkeypatch.setattr(np.linalg, "eigvalsh", _lower_triangle_fails(np.linalg.eigvalsh, calls))
+        monkeypatch.setattr(np.linalg, "eigh", lower_triangle_fails(np.linalg.eigh, calls))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lower_triangle_fails(np.linalg.eigvalsh, calls))
         for a, ref in zip(mats, refs):
             calls.clear()
             w, v = sdp._eigh(a)
