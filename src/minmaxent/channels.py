@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HermitianOperator, StateFormatError, _matrix_from_obj, _matrix_to_json
+from .core import HermitianOperator, StateFormatError, _eigh, _matrix_from_obj, _matrix_to_json
 
 __all__ = [
     "ChoiMatrix",
@@ -98,7 +98,7 @@ def classify(j: ChoiMatrix) -> MapClass:
     partial traces from the respective identities.
     """
     t = j._tensor()
-    ev_min = float(np.linalg.eigvalsh(j.op.mat)[0])
+    ev_min = float(_eigh(j.op.mat, vectors=False)[0])
     tr_out = np.einsum("iaja->ij", t)
     tr_in = np.einsum("aiaj->ij", t)
     return MapClass(

@@ -24,6 +24,7 @@ from .core import (
     CqEnsemble,
     DensityOperator,
     PureState,
+    _eigh,
     load_ensemble,
     load_state,
     maximally_entangled,
@@ -33,6 +34,7 @@ from .core import (
     StateFormatError,
 )
 from .entropy import (
+    EntropyReport,
     decoupling_accuracy,
     guessing_probability,
     key_secrecy,
@@ -46,8 +48,126 @@ from .sdp import SolverError
 
 __all__ = ["main", "run"]
 
-_STATE_VERBS = ("hmin", "hmax", "qcorr", "qdecpl")
-_ENSEMBLE_VERBS = ("pguess", "psecr")
+_SEED = ("--seed", {"type": int, "default": 0})
+_STATE = ("--input", {"required": True, "help": "bipartite state file"})
+
+# input kind: the verb's arguments after --format
+_INPUTS = {
+    "state": (_STATE,),
+    "ensemble": (("--input", {"required": True, "help": "cq ensemble file"}),),
+    "state and target": (
+        _STATE,
+        ("--target", {"required": True, "help": "pure target state file (projector)"}),
+    ),
+    "library": (("--input", {"default": ".", "help": "output directory for the library"}), _SEED),
+    "checks": (
+        _SEED,
+        ("--trials", {"type": int, "default": None, "help": "override per-criterion trial counts"}),
+        ("--tol", {"type": float, "default": None, "help": "override per-check tolerances"}),
+    ),
+}
+
+
+def _entropy(rep: EntropyReport, sign: float) -> dict:
+    """An entropy report led by its bits and its value 2^(sign * bits)."""
+    fields = json.loads(report_to_json(rep))
+    value = 2.0 ** (sign * rep.value_bits)
+    # keys repeated from the report keep their first position
+    return {"quantity": rep.quantity, "value_bits": rep.value_bits, "value": value, **fields}
+
+
+def _bits(quantity: str, value: float, sign: float) -> dict:
+    return {"quantity": quantity, "value": value, "value_bits": sign * math.log2(value)}
+
+
+def _load_target(path: str, d_a: int) -> PureState:
+    proj = load_state(path)
+    if proj.d_A != d_a or proj.d_B != d_a:
+        raise StateFormatError(f"target must have d_A = d_B = {d_a}, got {proj.d_A} x {proj.d_B}")
+    w, v = _eigh(proj.mat)
+    if w[-1] < 1.0 - 1e-9:
+        raise StateFormatError(f"target is not pure (largest eigenvalue {w[-1]!r})")
+    return PureState(v[:, -1])
+
+
+def _qcorr(args: argparse.Namespace) -> dict:
+    value, cert = singlet_fraction(load_state(args.input))
+    return {
+        **_bits("singlet_fraction", value, -1.0),
+        "achieved_overlap": cert.achieved_overlap,
+        "predicted_overlap": cert.predicted,
+    }
+
+
+def _fidmax(args: argparse.Namespace) -> dict:
+    state = load_state(args.input)
+    target = _load_target(args.target, state.d_A)
+    return {"quantity": "max_target_fidelity", "value": max_target_fidelity(state, target)}
+
+
+def _gen(args: argparse.Namespace) -> dict:
+    tau2 = np.eye(2) / 2.0
+    ket0 = DensityOperator.from_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    ketp = DensityOperator.from_matrix(np.full((2, 2), 0.5))
+    amp = np.zeros(4, dtype=complex)
+    amp[0], amp[3] = math.sqrt(0.7), math.sqrt(0.3)
+    cq_states = (random_density(2, args.seed + 1), random_density(2, args.seed + 2))
+    library = [
+        *(
+            (f"phi{d}.json", BipartiteState(DensityOperator(maximally_entangled(d).projector()), d, d))
+            for d in (2, 3, 4)
+        ),
+        ("product_2x2.json", BipartiteState(DensityOperator.from_matrix(np.kron(tau2, tau2)), 2, 2)),
+        ("helstrom.json", CqEnsemble(np.array([0.5, 0.5]), (ket0, ketp))),
+        *(
+            (f"random_{d_a}x{d_b}.json", BipartiteState(random_density(d_a * d_b, args.seed), d_a, d_b))
+            for d_a, d_b in ((2, 2), (2, 3), (3, 3))
+        ),
+        ("cq_random_2x2.json", CqEnsemble(np.array([0.3, 0.7]), cq_states)),
+        ("target_2.json", BipartiteState(DensityOperator(PureState(amp).projector()), 2, 2)),
+    ]
+    os.makedirs(args.input, exist_ok=True)
+    written = []
+    for name, item in library:
+        path = os.path.join(args.input, name)
+        (save_ensemble if isinstance(item, CqEnsemble) else save_state)(item, path)
+        written.append(path)
+    return {"written": sorted(written)}
+
+
+def _verify(args: argparse.Namespace) -> dict:
+    results = verify_mod.run_all(seed=args.seed, trials=args.trials, tol=args.tol)
+    keys = ("quantity", "oracle_value", "main_value", "gap", "tolerance", "method", "passed")
+    criteria = [
+        {
+            "index": r.index,
+            "title": r.title,
+            "passed": r.passed,
+            "checks": [{key: getattr(c, key) for key in keys} for c in r.reports],
+        }
+        for r in results
+    ]
+    return {"criteria": criteria, "all_passed": all(r.passed for r in results)}
+
+
+# verb: (help text, input kind, parsed arguments -> output object); each call reads
+# the module's bindings when it runs, so a binding patched from outside is the one used
+_VERBS = {
+    "hmin": ("min-entropy of A conditioned on B", "state",
+             lambda args: _entropy(min_entropy(load_state(args.input)), -1.0)),
+    "hmax": ("max-entropy of A conditioned on B", "state",
+             lambda args: _entropy(max_entropy(load_state(args.input)), 1.0)),
+    "qcorr": ("maximal singlet fraction with recovery channel", "state", _qcorr),
+    "qdecpl": ("decoupling accuracy", "state",
+               lambda args: _bits("decoupling_accuracy", decoupling_accuracy(load_state(args.input))[0], 1.0)),
+    "pguess": ("optimal guessing probability of X from B", "ensemble",
+               lambda args: _bits("guessing_probability", guessing_probability(load_ensemble(args.input))[0], -1.0)),
+    "psecr": ("key secrecy of X relative to B", "ensemble",
+              lambda args: _bits("key_secrecy", key_secrecy(load_ensemble(args.input)), 1.0)),
+    "fidmax": ("best channel fidelity with a pure target on A (x) A'", "state and target", _fidmax),
+    "gen": ("write the named state library", "library", _gen),
+    "verify": ("run the acceptance checks against their oracles", "checks", _verify),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -56,239 +176,48 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Single-shot conditional min/max-entropies via semidefinite programming.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add(verb: str, help_text: str) -> argparse.ArgumentParser:
+    for verb, (help_text, kind, _) in _VERBS.items():
         p = sub.add_parser(verb, help=help_text)
         p.add_argument("--format", choices=("text", "json"), default="text")
-        return p
-
-    for verb, text in (
-        ("hmin", "min-entropy of A conditioned on B"),
-        ("hmax", "max-entropy of A conditioned on B"),
-        ("qcorr", "maximal singlet fraction with recovery channel"),
-        ("qdecpl", "decoupling accuracy"),
-    ):
-        p = add(verb, text)
-        p.add_argument("--input", required=True, help="bipartite state file")
-    for verb, text in (
-        ("pguess", "optimal guessing probability of X from B"),
-        ("psecr", "key secrecy of X relative to B"),
-    ):
-        p = add(verb, text)
-        p.add_argument("--input", required=True, help="cq ensemble file")
-    p = add("fidmax", "best channel fidelity with a pure target on A (x) A'")
-    p.add_argument("--input", required=True, help="bipartite state file")
-    p.add_argument("--target", required=True, help="pure target state file (projector)")
-    p = add("gen", "write the named state library")
-    p.add_argument("--input", default=".", help="output directory for the library")
-    p.add_argument("--seed", type=int, default=0)
-    p = add("verify", "run the acceptance checks against their oracles")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=None, help="override per-criterion trial counts")
-    p.add_argument("--tol", type=float, default=None, help="override per-check tolerances")
+        for flag, options in _INPUTS[kind]:
+            p.add_argument(flag, **options)
     return parser
 
 
-def _emit(args: argparse.Namespace, obj: dict) -> None:
-    if args.format == "json":
-        print(json.dumps(obj))
-        return
-    for key, val in obj.items():
-        if isinstance(val, float):
-            print(f"{key} = {val:.6f}")
-        else:
-            print(f"{key} = {val}")
-
-
-def _load_target(path: str, d_a: int) -> PureState:
-    proj = load_state(path)
-    if proj.d_A != d_a or proj.d_B != d_a:
-        raise StateFormatError(
-            f"target must have d_A = d_B = {d_a}, got {proj.d_A} x {proj.d_B}"
-        )
-    w, v = np.linalg.eigh(proj.mat)
-    if w[-1] < 1.0 - 1e-9:
-        raise StateFormatError(f"target is not pure (largest eigenvalue {w[-1]!r})")
-    return PureState(v[:, -1])
-
-
-def _cmd_state(args: argparse.Namespace) -> int:
-    state = load_state(args.input)
-    if args.verb in ("hmin", "hmax"):
-        rep = min_entropy(state) if args.verb == "hmin" else max_entropy(state)
-        fields = json.loads(report_to_json(rep))
-        value = 2.0 ** (-rep.value_bits) if args.verb == "hmin" else 2.0**rep.value_bits
-        # keys repeated from the report keep their first position
-        _emit(args, {"quantity": rep.quantity, "value_bits": rep.value_bits, "value": value, **fields})
-    elif args.verb == "qcorr":
-        value, cert = singlet_fraction(state)
-        _emit(
-            args,
-            {
-                "quantity": "singlet_fraction",
-                "value": value,
-                "value_bits": -math.log2(value),
-                "achieved_overlap": cert.achieved_overlap,
-                "predicted_overlap": cert.predicted,
-            },
-        )
-    else:
-        value, _ = decoupling_accuracy(state)
-        _emit(
-            args,
-            {
-                "quantity": "decoupling_accuracy",
-                "value": value,
-                "value_bits": math.log2(value),
-            },
-        )
-    return 0
-
-
-def _cmd_ensemble(args: argparse.Namespace) -> int:
-    ens = load_ensemble(args.input)
-    if args.verb == "pguess":
-        value, _ = guessing_probability(ens)
-        _emit(
-            args,
-            {
-                "quantity": "guessing_probability",
-                "value": value,
-                "value_bits": -math.log2(value),
-            },
-        )
-    else:
-        value = key_secrecy(ens)
-        _emit(
-            args,
-            {"quantity": "key_secrecy", "value": value, "value_bits": math.log2(value)},
-        )
-    return 0
-
-
-def _cmd_fidmax(args: argparse.Namespace) -> int:
-    state = load_state(args.input)
-    target = _load_target(args.target, state.d_A)
-    value = max_target_fidelity(state, target)
-    _emit(args, {"quantity": "max_target_fidelity", "value": value})
-    return 0
-
-
-def _cmd_gen(args: argparse.Namespace) -> int:
-    outdir = args.input
-    os.makedirs(outdir, exist_ok=True)
-    written: list[str] = []
-
-    def put_state(name: str, state: BipartiteState) -> None:
-        path = os.path.join(outdir, name)
-        save_state(state, path)
-        written.append(path)
-
-    def put_ensemble(name: str, ens: CqEnsemble) -> None:
-        path = os.path.join(outdir, name)
-        save_ensemble(ens, path)
-        written.append(path)
-
-    for d in (2, 3, 4):
-        phi = maximally_entangled(d)
-        put_state(f"phi{d}.json", BipartiteState(DensityOperator(phi.projector()), d, d))
-    tau2 = np.eye(2) / 2.0
-    put_state(
-        "product_2x2.json",
-        BipartiteState(DensityOperator.from_matrix(np.kron(tau2, tau2)), 2, 2),
-    )
-    ket0 = DensityOperator.from_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
-    ketp = DensityOperator.from_matrix(np.full((2, 2), 0.5))
-    put_ensemble("helstrom.json", CqEnsemble(np.array([0.5, 0.5]), (ket0, ketp)))
-    for d_a, d_b in ((2, 2), (2, 3), (3, 3)):
-        put_state(
-            f"random_{d_a}x{d_b}.json",
-            BipartiteState(random_density(d_a * d_b, args.seed), d_a, d_b),
-        )
-    rng_probs = np.array([0.3, 0.7])
-    put_ensemble(
-        "cq_random_2x2.json",
-        CqEnsemble(
-            rng_probs,
-            (random_density(2, args.seed + 1), random_density(2, args.seed + 2)),
-        ),
-    )
-    amp = np.zeros(4, dtype=complex)
-    amp[0], amp[3] = math.sqrt(0.7), math.sqrt(0.3)
-    put_state(
-        "target_2.json", BipartiteState(DensityOperator(PureState(amp).projector()), 2, 2)
-    )
-
-    if args.format == "json":
-        print(json.dumps({"written": sorted(written)}))
-    else:
-        for path in sorted(written):
+def _print_text(kind: str, obj: dict) -> None:
+    """Text mode: the written paths, the table of checks, or one line per field."""
+    if kind == "library":
+        for path in obj["written"]:
             print(path)
-    return 0
-
-
-def _cmd_verify(args: argparse.Namespace) -> int:
-    results = verify_mod.run_all(seed=args.seed, trials=args.trials, tol=args.tol)
-    all_passed = all(r.passed for r in results)
-    if args.format == "json":
-        obj = {
-            "criteria": [
-                {
-                    "index": r.index,
-                    "title": r.title,
-                    "passed": r.passed,
-                    "checks": [
-                        {
-                            "quantity": c.quantity,
-                            "oracle_value": c.oracle_value,
-                            "main_value": c.main_value,
-                            "gap": c.gap,
-                            "tolerance": c.tolerance,
-                            "method": c.method,
-                            "passed": c.passed,
-                        }
-                        for c in r.reports
-                    ],
-                }
-                for r in results
-            ],
-            "all_passed": all_passed,
-        }
-        print(json.dumps(obj))
-    else:
-        for r in results:
-            for c in r.reports:
-                flag = "ok " if c.passed else "FAIL"
+    elif kind == "checks":
+        for r in obj["criteria"]:
+            for c in r["checks"]:
+                flag = "ok " if c["passed"] else "FAIL"
                 print(
-                    f"  [{flag}] {c.quantity:<28s} main={c.main_value: .9f} "
-                    f"oracle={c.oracle_value: .9f} gap={c.gap:.3e} tol={c.tolerance:.1e} "
-                    f"({c.method})"
+                    f"  [{flag}] {c['quantity']:<28s} main={c['main_value']: .9f} "
+                    f"oracle={c['oracle_value']: .9f} gap={c['gap']:.3e} tol={c['tolerance']:.1e} "
+                    f"({c['method']})"
                 )
-            print(f"criterion {r.index:02d}  {r.title:<52s} {'PASS' if r.passed else 'FAIL'}")
-        print(f"overall: {'PASS' if all_passed else 'FAIL'}")
-    return 0 if all_passed else 1
+            print(f"criterion {r['index']:02d}  {r['title']:<52s} {'PASS' if r['passed'] else 'FAIL'}")
+        print(f"overall: {'PASS' if obj['all_passed'] else 'FAIL'}")
+    else:
+        for key, val in obj.items():
+            print(f"{key} = {val:.6f}" if isinstance(val, float) else f"{key} = {val}")
 
 
 def run(argv: list[str] | None = None) -> int:
     """Parse arguments, dispatch, and return the process exit code."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    _, kind, compute = _VERBS[args.verb]
     try:
-        if args.verb in _STATE_VERBS:
-            return _cmd_state(args)
-        if args.verb in _ENSEMBLE_VERBS:
-            return _cmd_ensemble(args)
-        if args.verb == "fidmax":
-            return _cmd_fidmax(args)
-        if args.verb == "gen":
-            return _cmd_gen(args)
-        return _cmd_verify(args)
+        obj = compute(args)
     except json.JSONDecodeError as exc:
         path = getattr(args, "input", "<input>")
         print(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"{exc.filename}: file not found", file=sys.stderr)
+    except OSError as exc:
+        reason = "file not found" if isinstance(exc, FileNotFoundError) else exc.strerror
+        print(f"{exc.filename}: {reason}", file=sys.stderr)
         return 2
     except (SolverError, np.linalg.LinAlgError) as exc:
         # LinAlgError subclasses ValueError but is a numerical failure
@@ -297,6 +226,11 @@ def run(argv: list[str] | None = None) -> int:
     except (StateFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.format == "json":
+        print(json.dumps(obj))
+    else:
+        _print_text(kind, obj)
+    return 0 if obj.get("all_passed", True) else 1
 
 
 def main() -> None:

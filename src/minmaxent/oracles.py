@@ -21,6 +21,7 @@ from .core import (
     DensityOperator,
     HermitianOperator,
     PureState,
+    _eigh,
     _partial_trace_mat,
     _psd_factor,
     hermitian_basis,
@@ -44,7 +45,7 @@ class OracleReport:
     """One oracle-versus-main comparison row.
 
     The gap is recorded even when the check fails; method names the
-    resolution or sample count that produced the oracle value.
+    search, sample count or closed form that produced the oracle value.
     """
 
     quantity: str
@@ -70,38 +71,15 @@ def helstrom_guess_probability(p0: float, rho0: DensityOperator, rho1: DensityOp
     if rho0.dim != rho1.dim:
         raise ValueError("states must have equal dimensions")
     diff = p0 * rho0.mat - (1.0 - p0) * rho1.mat
-    return 0.5 * (1.0 + float(np.sum(np.abs(np.linalg.eigvalsh(diff)))))
+    return 0.5 * (1.0 + float(np.sum(np.abs(_eigh(diff, vectors=False)))))
 
 
-def _coverage(rho: np.ndarray, d_a: int, d_b: int, sigmas: np.ndarray) -> np.ndarray:
-    """lmax((id (x) s)^(-1/2) rho (id (x) s)^(-1/2)) for a batch of full-rank s."""
-    w, v = np.linalg.eigh(sigmas)
-    w = np.clip(w, 1e-300, None)
-    inv_sqrt = (v * w[..., None, :] ** -0.5) @ np.swapaxes(v.conj(), -2, -1)
-    big = np.einsum("ab,nij->naibj", np.eye(d_a), inv_sqrt).reshape(-1, d_a * d_b, d_a * d_b)
-    return np.linalg.eigvalsh(big @ rho @ big)[..., -1]
-
-
-def _bloch_ball_sigmas(step: float) -> list[np.ndarray]:
-    """Qubit states on a Bloch-ball grid of the given step, slightly inside, one slice per x.
-
-    The slices concatenate to the grid raveled x-major (meshgrid's "ij" order),
-    and each holds at most len(axis)**2 states, so a caller scoring one slice at
-    a time holds stacks of that size rather than of the whole ball.
-    """
-    axis = np.arange(-1.0, 1.0 + 0.5 * step, step)
-    gy, gz = np.meshgrid(axis, axis, indexing="ij")
-    slices = []
-    for x in axis:
-        pts = np.stack([np.full(gy.size, x), gy.ravel(), gz.ravel()], axis=1)
-        pts = pts[np.linalg.norm(pts, axis=1) <= 0.999]
-        sig = np.zeros((len(pts), 2, 2), dtype=complex)
-        sig[:, 0, 0] = 0.5 * (1.0 + pts[:, 2])
-        sig[:, 1, 1] = 0.5 * (1.0 - pts[:, 2])
-        sig[:, 0, 1] = 0.5 * (pts[:, 0] - 1j * pts[:, 1])
-        sig[:, 1, 0] = 0.5 * (pts[:, 0] + 1j * pts[:, 1])
-        slices.append(sig)
-    return slices
+def _coverage(rho: np.ndarray, d_a: int, sigma: np.ndarray) -> float:
+    """lmax((id (x) s)^(-1/2) rho (id (x) s)^(-1/2)) for a full-rank s."""
+    w, v = _eigh(sigma)
+    inv_sqrt = (v * np.clip(w, 1e-300, None) ** -0.5) @ v.conj().T
+    big = np.kron(np.eye(d_a), inv_sqrt)
+    return float(_eigh(big @ rho @ big, vectors=False)[-1])
 
 
 def _nelder_mead(f, simplex: np.ndarray, xatol: float, fatol: float, maxiter: int) -> float:
@@ -143,58 +121,34 @@ def _nelder_mead(f, simplex: np.ndarray, xatol: float, fatol: float, maxiter: in
     return float(np.min(fsim))
 
 
-def min_entropy_direct_search(state: BipartiteState, resolution: float = 1e-3) -> float:
+def min_entropy_direct_search(state: BipartiteState) -> float:
     """Direct search over conditioning states: an upper bound on 2^(-H_min).
 
-    Minimizes lmax((id (x) s)^(-1/2) rho (id (x) s)^(-1/2)) over density
-    operators s on B (d_B <= 3) by a coarse grid and _nelder_mead's
-    refinement; any evaluated point upper-bounds the optimum, and the
-    refinement brings the gap down to the order of `resolution`.  For
-    d_B = 2 the Bloch grid (8144 states) is scored one x-slice (at most 676
-    states) at a time, so _coverage never holds stacks of the whole grid;
-    the six best-scoring states are the grid's starts.
-
-    Each refinement starts from a simplex with one step of 0.05 along
-    every coordinate of theta (a start has ||theta|| = 1).  scipy's
-    default simplex, which this search used until _nelder_mead replaced
-    scipy, steps 2.5e-4 along a zero coordinate, so the start at the
-    maximally mixed state took up to the 4000-iteration cap to leave.
+    Minimizes lambda(s) = lmax((id (x) s)^(-1/2) rho (id (x) s)^(-1/2)),
+    the least lambda with rho <= lambda id (x) s, over qubit density
+    operators s (d_B = 2) by one _nelder_mead run from the maximally mixed
+    state; any evaluated point upper-bounds the optimum.  One start
+    suffices: 1/lambda(s) is concave in s (if mu_i rho <= id (x) s_i, the
+    mixture of the mu_i is feasible for the mixture of the s_i), so every
+    local minimum of lambda is global.  s is h^2 / tr h^2 for the Hermitian
+    h with real coordinates theta in hermitian_basis(2); the simplex steps
+    0.05 along every coordinate from the start h = sqrt(id / 2), whose
+    ||theta|| is 1.
     """
-    d_a, d_b = state.d_A, state.d_B
-    if d_b > 3:
-        raise ValueError("direct search is limited to d_B <= 3")
+    d_a = state.d_A
+    if state.d_B != 2:
+        raise ValueError("direct search is limited to d_B = 2")
     rho = state.mat
-
-    starts: list[np.ndarray] = [np.eye(d_b, dtype=complex) / d_b]
-    if d_b == 2:
-        slices = _bloch_ball_sigmas(0.08)
-        vals = np.concatenate([_coverage(rho, d_a, d_b, sig) for sig in slices])
-        starts.extend(np.concatenate(slices)[np.argsort(vals)[:6]])
-    else:
-        rng = np.random.default_rng(0)
-        for _ in range(12):
-            g = rng.standard_normal((d_b, d_b)) + 1j * rng.standard_normal((d_b, d_b))
-            s = g @ g.conj().T
-            starts.append(s / np.trace(s).real)
-
-    basis = hermitian_basis(d_b)
-
-    def sigma_of(theta: np.ndarray) -> np.ndarray:
-        h = np.einsum("k,kij->ij", theta, basis)
-        s = h @ h + 1e-10 * np.eye(d_b)
-        return s / np.trace(s).real
+    basis = hermitian_basis(2)
 
     def objective(theta: np.ndarray) -> float:
-        return float(_coverage(rho, d_a, d_b, sigma_of(theta)[None, ...])[0])
+        h = np.einsum("k,kij->ij", theta, basis)
+        s = h @ h + 1e-10 * np.eye(2)
+        return _coverage(rho, d_a, s / np.trace(s).real)
 
-    best = np.inf
-    for s0 in starts:
-        w, v = np.linalg.eigh(s0)
-        h0 = (v * np.sqrt(np.clip(w, 1e-12, None))) @ v.conj().T
-        theta0 = np.einsum("kij,ji->k", basis, h0).real
-        simplex = np.vstack([theta0, theta0 + 0.05 * np.eye(theta0.size)])
-        best = min(best, _nelder_mead(objective, simplex, resolution * 1e-2, resolution * 1e-3, 4000))
-    return best
+    theta0 = np.einsum("kij,ji->k", basis, np.sqrt(0.5) * np.eye(2)).real
+    simplex = np.vstack([theta0, theta0 + 0.05 * np.eye(theta0.size)])
+    return _nelder_mead(objective, simplex, 1e-5, 1e-6, 4000)
 
 
 def haar_isometry(d_from: int, d_to: int, rng: np.random.Generator) -> np.ndarray:

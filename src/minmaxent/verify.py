@@ -19,6 +19,7 @@ from .core import (
     CqEnsemble,
     DensityOperator,
     PureState,
+    _eigh,
     _partial_trace_mat,
     cq_to_density,
     maximally_entangled,
@@ -151,7 +152,7 @@ def _crit_recovery(seed: int, trials: int) -> list[OracleReport]:
             continue
         value, cert = singlet_fraction(state)
         choi = cert.channel
-        ev_min = float(np.linalg.eigvalsh(choi.op.mat)[0])
+        ev_min = float(_eigh(choi.op.mat, vectors=False)[0])
         t = choi.op.mat.reshape(choi.d_in, choi.d_out, choi.d_in, choi.d_out)
         tp_res = float(np.max(np.abs(np.einsum("iaja->ij", t) - np.eye(choi.d_in))))
         tag = f"t{i:02d}.{state.d_A}x{state.d_B}"
@@ -306,14 +307,14 @@ def _crit_direct_search(seed: int, trials: int) -> list[OracleReport]:
     for i in range(trials):
         d_a = [2, 3][i % 2]
         state = BipartiteState(random_density(2 * d_a, 20011 * seed + i), d_a, 2)
-        search_bits = -math.log2(min_entropy_direct_search(state, resolution=1e-3))
+        search_bits = -math.log2(min_entropy_direct_search(state))
         hmin = min_entropy(state).value_bits
         rows.append(
             _row(
                 f"search.t{i:02d}.{d_a}x2",
                 hmin,
                 search_bits,
-                "Bloch grid + Nelder-Mead at resolution 1e-3",
+                "Nelder-Mead from the maximally mixed state",
                 1e-2,
             )
         )

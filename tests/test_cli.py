@@ -12,6 +12,8 @@ from minmaxent import cli
 from minmaxent import verify as verify_mod
 from minmaxent.cli import run
 
+from conftest import lower_triangle_fails
+
 
 @pytest.fixture(scope="module")
 def library(tmp_path_factory):
@@ -138,6 +140,48 @@ def test_non_finite_entries_exit_2(tmp_path, capsys):
 
 def test_missing_file_exits_2(tmp_path, capsys):
     assert run(["hmin", "--input", str(tmp_path / "nope.json")]) == 2
+    assert capsys.readouterr().err == f"{tmp_path / 'nope.json'}: file not found\n"
+
+
+def test_unreadable_path_exits_2_naming_it(library, capsys):
+    # the OSErrors past "file not found": a library path that is a file, inputs that are directories
+    state = library / "phi2.json"
+    for argv, path in (
+        (["gen", "--input", str(state)], state),
+        (["hmin", "--input", str(library)], library),
+        (["fidmax", "--input", str(state), "--target", str(library)], library),
+    ):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"{path}: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_json_key_order(library, tmp_path, capsys, monkeypatch):
+    entropy_keys = ["quantity", "value_bits", "value", "gap", "primal_value", "dual_value", "status"]
+    bits_keys = ["quantity", "value", "value_bits"]
+    state, ensemble = str(library / "random_2x3.json"), str(library / "helstrom.json")
+    fidmax = ["fidmax", "--input", str(library / "random_2x2.json"), "--target", str(library / "target_2.json")]
+    for argv, keys in (
+        (["hmin", "--input", state], entropy_keys),
+        (["hmax", "--input", state], entropy_keys),
+        (["qcorr", "--input", state], bits_keys + ["achieved_overlap", "predicted_overlap"]),
+        (["qdecpl", "--input", state], bits_keys),
+        (["pguess", "--input", ensemble], bits_keys),
+        (["psecr", "--input", ensemble], bits_keys),
+        (fidmax, ["quantity", "value"]),
+        (["gen", "--input", str(tmp_path)], ["written"]),
+    ):
+        assert run(argv + ["--format", "json"]) == 0, argv
+        assert list(json.loads(capsys.readouterr().out)) == keys, argv
+    monkeypatch.setattr(verify_mod, "CRITERIA", verify_mod.CRITERIA[:2])
+    assert run(["verify", "--trials", "1", "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert list(out) == ["criteria", "all_passed"]
+    check_keys = ["quantity", "oracle_value", "main_value", "gap", "tolerance", "method", "passed"]
+    for crit in out["criteria"]:
+        assert list(crit) == ["index", "title", "passed", "checks"]
+        assert crit["checks"] and all(list(check) == check_keys for check in crit["checks"])
 
 
 def test_unknown_flag_rejected(library):
@@ -236,6 +280,23 @@ def test_solver_numerical_failure_exits_1(library, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert "solver failure" in captured.err and "numerical_failure" in captured.err
     assert captured.out == ""
+
+
+def test_fidmax_recovers_from_a_lower_triangle_failure(library, capsys, monkeypatch):
+    argv = [
+        "fidmax",
+        "--input", str(library / "random_2x2.json"),
+        "--target", str(library / "target_2.json"),
+        "--format", "json",
+    ]
+    assert run(argv) == 0
+    expected, calls = json.loads(capsys.readouterr().out), []
+    monkeypatch.setattr(np.linalg, "eigh", lower_triangle_fails(np.linalg.eigh, calls))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lower_triangle_fails(np.linalg.eigvalsh, calls))
+    assert run(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out == {**expected, "value": pytest.approx(expected["value"], abs=1e-9)}
+    assert "U" in calls
 
 
 def test_escaping_linalg_error_exits_1_not_2(library, capsys, monkeypatch):

@@ -1,5 +1,8 @@
+import inspect
 import json
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from minmaxent import (
     tensor_product,
     trace_norm,
 )
+from minmaxent import core
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -367,3 +371,13 @@ class TestSerialization:
             state_from_json('{"d_A": 2, "d_B": 3, "matrix": [[[1,0],[0,0]],[[0,0],[0,0]]]}')
         with pytest.raises(json.JSONDecodeError):
             state_from_json("{not json")
+
+
+def test_every_eigendecomposition_goes_through_core_eigh():
+    # numpy's eigensolvers are called only inside core._eigh, whose upper-triangle
+    # route catches a failure on the lower one wherever the library decomposes
+    package = pathlib.Path(core.__file__).parent
+    eigh_source = inspect.getsource(core._eigh)
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text(encoding="utf-8").replace(eigh_source, "")
+        assert not re.search(r"linalg\.eig(h|valsh)\b", text), path.name
