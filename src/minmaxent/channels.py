@@ -15,12 +15,11 @@ any non-unique Kraus factorization.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HermitianOperator, StateFormatError, _eigh, _matrix_from_obj, _matrix_to_json
+from .core import HermitianOperator, _eigh
 
 __all__ = [
     "ChoiMatrix",
@@ -29,8 +28,6 @@ __all__ = [
     "apply_channel",
     "adjoint_channel",
     "classify",
-    "choi_to_json",
-    "choi_from_json",
 ]
 
 CLASS_ATOL = 1e-8
@@ -107,23 +104,3 @@ def classify(j: ChoiMatrix) -> MapClass:
         unital=float(np.max(np.abs(tr_in - np.eye(j.d_out)))) <= CLASS_ATOL,
     )
 
-
-def choi_to_json(j: ChoiMatrix) -> str:
-    return '{"d_in":%d,"d_out":%d,"matrix":%s}' % (j.d_in, j.d_out, _matrix_to_json(j.op.mat))
-
-
-def choi_from_json(text: str) -> ChoiMatrix:
-    obj = json.loads(text)
-    if not isinstance(obj, dict):
-        raise StateFormatError("expected a JSON object")
-    for key in ("d_in", "d_out", "matrix"):
-        if key not in obj:
-            raise StateFormatError(f"missing key {key!r}")
-    d_in, d_out = obj["d_in"], obj["d_out"]
-    if not isinstance(d_in, int) or not isinstance(d_out, int):
-        raise StateFormatError("d_in and d_out must be integers")
-    mat = _matrix_from_obj(obj["matrix"], "matrix")
-    try:
-        return ChoiMatrix(HermitianOperator(mat), d_in, d_out)
-    except ValueError as exc:
-        raise StateFormatError(str(exc)) from exc

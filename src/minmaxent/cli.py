@@ -211,9 +211,8 @@ def run(argv: list[str] | None = None) -> int:
     _, kind, compute = _VERBS[args.verb]
     try:
         obj = compute(args)
-    except json.JSONDecodeError as exc:
-        path = getattr(args, "input", "<input>")
-        print(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}", file=sys.stderr)
+    except json.JSONDecodeError as exc:  # core's loaders name the file that failed to parse
+        print(f"{exc.filename}:{exc.lineno}:{exc.colno}: {exc.msg}", file=sys.stderr)
         return 2
     except OSError as exc:
         reason = "file not found" if isinstance(exc, FileNotFoundError) else exc.strerror

@@ -482,9 +482,19 @@ def save_state(state: BipartiteState, path: str) -> None:
         fh.write(state_to_json(state) + "\n")
 
 
-def load_state(path: str) -> BipartiteState:
+def _load(path: str, parse):
+    """parse(the text of the file at path); a JSONDecodeError leaves with the path as its filename."""
     with open(path, encoding="utf-8") as fh:
-        return state_from_json(fh.read())
+        text = fh.read()
+    try:
+        return parse(text)
+    except json.JSONDecodeError as exc:
+        exc.filename = path
+        raise
+
+
+def load_state(path: str) -> BipartiteState:
+    return _load(path, state_from_json)
 
 
 def save_ensemble(e: CqEnsemble, path: str) -> None:
@@ -493,5 +503,4 @@ def save_ensemble(e: CqEnsemble, path: str) -> None:
 
 
 def load_ensemble(path: str) -> CqEnsemble:
-    with open(path, encoding="utf-8") as fh:
-        return ensemble_from_json(fh.read())
+    return _load(path, ensemble_from_json)

@@ -31,12 +31,16 @@ per family pair, G_fg the reshuffled sum of c_fs c_gt kron(W_st, W_ts^T):
 one product of the gathered blocks, O(S^2 d^4) for S blocks of size d,
 then the basis change, O(d^6).
 
-The iteration runs on numpy.linalg alone.  A step is taken at its
-estimated length only if the new X (or Z) factors by Cholesky; the
-predictor's step is never taken and only estimated.  Step lengths and
-Z^-1 = G diag(1/lam) G^H are read in the NT-scaled frame
-G^-1 X G^-H = G^H Z G = diag(lam), so only the Schur matrix's factor is
-inverted, once per iteration.  Any LinAlgError ends the solve as a
+The iteration runs on numpy.linalg alone, and each step is taken in
+the NT-scaled frame G^-1 X G^-H = G^H Z G = diag(lam), where its length
+is estimated.  With S the step of X (or of Z) read in that frame, the
+step is taken at its estimated length alpha only if diag(lam) + alpha S
+factors by Cholesky as L L^H; the new X is rebuilt as (G L)(G L)^H, PSD
+by construction, and Z + alpha dZ is formed as it stands.  The
+predictor's step is never taken and only estimated.  Z^-1 =
+G diag(1/lam) G^H is read in the same frame, so only the Schur matrix's
+factor is inverted, once per iteration, and each of the two Newton
+systems is solved once with it.  Any LinAlgError ends the solve as a
 numerical failure that keeps the last completed iterate.
 """
 
@@ -251,15 +255,19 @@ def solve(problem: HermitianSdp, max_iterations: int = 200) -> SdpSolution:
     least-squares fit of A(tau I) = b (I/d_A, feasible, on min-entropy data; I if no
     positive tau fits); the start need not be feasible.  On optimal certificates
     the dual value exceeds the primal by at most 1e-9; identical problem
-    data yields identical output.
+    data yields identical output.  Each step is taken in the NT-scaled frame
+    G^-1 X G^-H = G^H Z G = diag(lam): its cone test is one Cholesky of
+    diag(lam) + alpha S at the estimated length alpha, the new X is rebuilt from
+    the factor G L, and each Newton system is solved once with the Schur factor.
 
     The returned status is one of
       "optimal"               the certificate meets the tolerances above;
       "max_iterations"        the iteration cap was hit;
       "infeasible_suspected"  the iterates diverged past DIVERGENCE_LIMIT;
-      "numerical_failure"     an eigendecomposition failed on both triangles, a
-                              Cholesky factorization failed, or a step at its
-                              estimated length left X or Z without a finite factor.
+      "numerical_failure"     an eigendecomposition failed on both triangles, the
+                              Schur matrix did not factor, or a step at its estimated
+                              length left diag(lam) + alpha S, the new X or Z in the
+                              NT-scaled frame, without a finite Cholesky factor.
     A run stops as "optimal" once the primal and dual residuals and the
     relative gap meet DEFAULT_TOL and dual_value <= primal_value + 1e-9.
     Whatever the status, the last completed iterate is returned as the
@@ -285,7 +293,7 @@ def solve(problem: HermitianSdp, max_iterations: int = 200) -> SdpSolution:
     iterations = 0
 
     def measure(x, y, z):
-        rp = b - (ax := a_op(x))
+        rp = b - a_op(x)
         rd = cmat - z - a_adj(y)
         xz = float(np.vdot(z, x).real)
         # infeasibility-compensated objective (the Lagrangian value): when
@@ -295,11 +303,11 @@ def solve(problem: HermitianSdp, max_iterations: int = 200) -> SdpSolution:
         dv = float(b @ y)
         pinf = float(np.linalg.norm(rp)) / (1.0 + norm_b)
         dinf = float(np.linalg.norm(rd)) / (1.0 + norm_c)
-        return ax, rp, rd, xz, pv, dv, pinf, dinf, xz / (1.0 + abs(pv) + abs(dv))
+        return rp, rd, xz, pv, dv, pinf, dinf, xz / (1.0 + abs(pv) + abs(dv))
 
     for it in range(1, max_iterations + 1):
         iterations = it
-        ax, rp, rd, xz, pv, dv, pinf, dinf, relgap = measure(x, y, z)
+        rp, rd, xz, pv, dv, pinf, dinf, relgap = measure(x, y, z)
         mu = xz / n
 
         if pinf <= DEFAULT_TOL and dinf <= DEFAULT_TOL and relgap <= DEFAULT_TOL and dv <= pv + 1e-9:
@@ -313,49 +321,40 @@ def solve(problem: HermitianSdp, max_iterations: int = 200) -> SdpSolution:
         try:
             # Nesterov-Todd scaling point W = G G† with W Z W = X.
             g, lam = _nt_scaling(lx, z)
-            gh = g.conj().T
+            gh, lam_mat = g.conj().T, np.diag(lam)
             w = g @ gh
             w = 0.5 * (w + w.conj().T)
 
             schur = problem._schur(w)
-            schur = 0.5 * (schur + schur.T)
-            reg = 1e-14 * max(float(np.trace(schur)) / m, 1.0)
-            schur_inv = np.linalg.inv(np.linalg.cholesky(schur + reg * np.eye(m)))
+            schur_inv = np.linalg.inv(np.linalg.cholesky(0.5 * (schur + schur.T)))
 
             def solve_schur(rhs: np.ndarray) -> np.ndarray:
-                dy = schur_inv.T @ (schur_inv @ rhs)
-                # two rounds of iterative refinement against the unregularized
-                # Schur matrix; near the optimum it is severely ill-conditioned
-                for _ in range(2):
-                    res = rhs - schur @ dy
-                    dy = dy + schur_inv.T @ (schur_inv @ res)
-                return dy
+                return schur_inv.T @ (schur_inv @ rhs)
 
-            common = rp + a_op(w @ rd @ w)  # the right-hand side's part both solves share
+            rhs = b + a_op(w @ rd @ w)  # rp - A(-X - W rd W): the predictor's, and the corrector's but one term
 
             # Predictor: the affine step only fixes sigma; its lengths are estimated from one spectrum, as
             # dXa = -X - W dZa W reads -diag(lam) - G† dZa G in the scaled frame, where mu_aff is read too.
-            sza = gh @ (rd - a_adj(solve_schur(common + ax))) @ g
-            sxa = -np.diag(lam) - sza
+            sza = gh @ (rd - a_adj(solve_schur(rhs))) @ g
+            sxa = -lam_mat - sza
             wa = _scaled_eigvalsh(lam, sza)
             ap, ad = _step_length(-1.0 - float(wa[-1])), _step_length(float(wa[0]))
-            mu_aff = max(0.0, float(np.vdot(np.diag(lam) + ad * sza, np.diag(lam) + ap * sxa).real)) / n
+            mu_aff = max(0.0, float(np.vdot(lam_mat + ad * sza, lam_mat + ap * sxa).real)) / n
             sigma = min(1.0, max(1e-10, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
 
             # Corrector: sigma*mu Z^-1 - X less the second-order term G[(T + T†) / (lam_i + lam_j)]G†,
-            # T = (G^-1 dXa G^-†)(G† dZa G), is rc = G S G† - X as Z^-1 = G diag(1/lam) G†; then
-            # dX = rc - W dZ W reads S - diag(lam) - G† dZ G in the frame.  A(rc) reads rc's Hermitian part.
+            # T = (G^-1 dXa G^-†)(G† dZa G), is G S G† - X as Z^-1 = G diag(1/lam) G†, so the
+            # right-hand side loses A(G S G†), and dX = G S G† - X - W dZ W reads S - diag(lam) - G† dZ G.
             t = sxa @ sza
             s = np.diag(sigma * mu / lam) - (t + t.conj().T) / (lam[:, None] + lam)
-            rc = g @ s @ gh - x
-            dz = rd - a_adj(dy := solve_schur(common - a_op(rc)))  # Hermitian as it stands, unlike dx
-            dx = rc - w @ dz @ w
-            dx = 0.5 * (dx + dx.conj().T)
+            dz = rd - a_adj(dy := solve_schur(rhs - a_op(g @ s @ gh)))
             sz = gh @ dz @ g
-            ap, lx_next = _max_step(x, dx, _step_estimate(lam, s - np.diag(lam) - sz))
-            ad, _ = _max_step(z, dz, _step_estimate(lam, sz))
+            sx = s - lam_mat - sz
+            _, ell = _max_step(lam_mat, sx, _step_estimate(lam, sx))
+            ad, _ = _max_step(lam_mat, sz, _step_estimate(lam, sz))
 
-            x, lx = x + ap * dx, lx_next
+            lx = g @ ell  # X + alpha dX = G (diag(lam) + alpha sx) G† = lx lx†
+            x = lx @ lx.conj().T
             y = y + ad * dy
             z = z + ad * dz
         except np.linalg.LinAlgError:
@@ -363,7 +362,7 @@ def solve(problem: HermitianSdp, max_iterations: int = 200) -> SdpSolution:
             break
 
     if status == STATUS_MAX_ITERATIONS:  # the cap: the last step is unmeasured
-        pv, dv = measure(x, y, z)[4:6]
+        pv, dv = measure(x, y, z)[3:5]
 
     return SdpSolution(
         X_star=HermitianOperator(x),

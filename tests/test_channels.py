@@ -12,7 +12,6 @@ from minmaxent import (
     random_cptp_choi,
     random_density,
 )
-from minmaxent.channels import choi_from_json, choi_to_json
 
 
 def herm(mat) -> HermitianOperator:
@@ -121,13 +120,7 @@ class TestClassify:
             assert back.trace_preserving
 
 
-class TestSerialization:
-    def test_round_trip(self):
-        j = random_cptp_choi(2, 3, seed=7)
-        back = choi_from_json(choi_to_json(j))
-        assert back.d_in == 2 and back.d_out == 3
-        assert np.max(np.abs(back.op.mat - j.op.mat)) == 0.0
-
+class TestChoiMatrix:
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
             ChoiMatrix(herm(np.eye(5)), 2, 2)

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from minmaxent import cli
+from minmaxent import BipartiteState, cli, random_density, save_state
 from minmaxent import verify as verify_mod
 from minmaxent.cli import run
 
@@ -116,6 +116,37 @@ def test_malformed_file_exits_2_with_location(tmp_path, capsys):
     assert str(bad) in err and ":3:" in err
 
 
+def test_malformed_target_is_reported_under_its_own_path(library, tmp_path, capsys):
+    state, bad = library / "random_2x2.json", tmp_path / "bad_target.json"
+    bad.write_text('{"d_A": 2,\n "d_B": 2,\n')
+    assert run(["fidmax", "--input", str(state), "--target", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"{bad}:3:")
+    assert str(state) not in captured.err and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "target, message",
+    [
+        ("phi3.json", "target must have d_A = d_B = 2, got 3 x 3"),
+        ("product_2x2.json", "target is not pure (largest eigenvalue"),
+    ],
+)
+def test_fidmax_rejects_a_mis_sized_or_mixed_target(library, capsys, target, message):
+    argv = ["fidmax", "--input", str(library / "random_2x2.json"), "--target", str(library / target)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {message}")
+
+
+def test_hmin_on_a_state_whose_last_step_failed_to_factor(tmp_path, capsys):
+    # near this rank-2 3x3 state's optimum a step formed outside the NT-scaled frame fails to factor
+    path = tmp_path / "rank2_3x3.json"
+    save_state(BipartiteState(random_density(9, 10, rank=2), 3, 3), str(path))
+    assert run(["hmin", "--input", str(path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "optimal"
+
+
 def test_wrong_structure_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad2.json"
     bad.write_text('{"d_A": 2, "d_B": 2, "matrix": [[1, 2], [3, 4]]}')
@@ -218,6 +249,21 @@ def test_verify_small(capsys):
             assert check["gap"] == rule(check["main_value"], check["oracle_value"])
 
 
+def test_verify_text_lists_every_check_and_verdict(capsys, monkeypatch):
+    monkeypatch.setattr(verify_mod, "CRITERIA", verify_mod.CRITERIA[:2])
+    assert run(["verify", "--seed", "7", "--trials", "1", "--format", "json"]) == 0
+    criteria = json.loads(capsys.readouterr().out)["criteria"]
+    assert run(["verify", "--seed", "7", "--trials", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    expected = []
+    for crit in criteria:
+        expected += [f"  [ok ] {c['quantity']:<28s} main=" for c in crit["checks"]]
+        expected.append(f"criterion {crit['index']:02d}  {crit['title']:<52s} PASS")
+    assert len(lines) == len(expected) + 1 and lines[-1] == "overall: PASS"
+    for line, start in zip(lines, expected):
+        assert line.startswith(start), line
+
+
 _SCIPY_FREE_RUN = """
 import sys
 import minmaxent.cli as cli
@@ -241,7 +287,7 @@ check("verify")
 
 # the eigensolver's fallback, forced by making numpy's first route fail
 import numpy as np
-from minmaxent import sdp
+from minmaxent import core
 
 def lower_fails(route):
     def patched(s, UPLO="L"):
@@ -252,7 +298,7 @@ def lower_fails(route):
 
 np.linalg.eigh, np.linalg.eigvalsh = lower_fails(np.linalg.eigh), lower_fails(np.linalg.eigvalsh)
 a = np.load(sys.argv[2])
-(w, v), values = sdp._eigh(a), sdp._eigh(a, vectors=False)
+(w, v), values = core._eigh(a), core._eigh(a, vectors=False)
 check("the eigensolver fallback")
 assert np.linalg.norm(a @ v - v * w) <= 1e-12 * np.abs(w).max()
 assert np.array_equal(values, np.linalg.eigvalsh(a, UPLO="U"))

@@ -15,6 +15,8 @@ from minmaxent import (
     SolverError,
     check_certificate,
     cq_to_density,
+    decoupling_accuracy,
+    guessing_probability,
     hermitian_basis,
     max_entropy,
     min_entropy,
@@ -22,11 +24,12 @@ from minmaxent import (
     sdp,
     solve,
 )
+from minmaxent.core import _eigh
 from minmaxent.entropy import _min_entropy_problem
 from minmaxent.oracles import _fidelity_problem
 from minmaxent.verify import _ensembles
 
-from conftest import lower_triangle_fails
+from conftest import lower_triangle_fails, random_state
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -77,6 +80,14 @@ def grid_search_double_domination(m1: np.ndarray, m2: np.ndarray) -> float:
                 best_val, best_pt = a + b, np.array([a, b, c, d])
         center, width = best_pt, width / 2.0
     return float(best_val)
+
+
+def cq_ensemble(seed: int) -> CqEnsemble:
+    """Three outcomes with weights 0.1 + U(0, 1), normalized, on qutrit states of ranks 1, 2 and 3."""
+    rng = np.random.default_rng(seed)
+    probs = 0.1 + rng.random(3)
+    states = tuple(random_density(3, 1000 * seed + x, rank=1 + x % 3) for x in range(3))
+    return CqEnsemble(probs / probs.sum(), states)
 
 
 class TestSolve:
@@ -144,6 +155,30 @@ class TestSolve:
         sol = solve(p)
         assert sol.status == "optimal"
         assert check_certificate(p, sol).weak_duality_violation <= 1e-9
+
+    @pytest.mark.parametrize(
+        "quantity, item",
+        [
+            *(
+                pytest.param(min_entropy, random_state(3, 3, seed, rank), id=f"hmin-3x3-{seed}")
+                for seed, rank in ((10, 2), (41, 6), (115, 8))
+            ),
+            *(
+                pytest.param(decoupling_accuracy, random_state(d_a, d_b, seed, rank), id=f"qdecpl-{d_a}x{d_b}-{seed}")
+                for d_a, d_b, seed, rank in ((2, 3, 28, 5), (3, 2, 50, 3), (2, 3, 160, 5))
+            ),
+            pytest.param(guessing_probability, cq_ensemble(72), id="pguess-72"),
+        ],
+    )
+    def test_last_steps_keep_their_cholesky_factor(self, quantity, item):
+        # within about 1e-9 of the optimum, X + alpha dX formed outside the NT-scaled frame
+        # failed to factor at the length the frame estimated, and each solve ended numerical_failure
+        result = quantity(item)  # SolverError unless the solve ends optimal
+        if quantity is min_entropy:
+            assert result.certificate.status == "optimal"
+            cert = check_certificate(_min_entropy_problem(item.mat, 3, 3), result.certificate)
+            assert max(cert.constraint_residual, cert.dual_residual, cert.weak_duality_violation) <= 1e-9
+            assert min(cert.min_eig_X, cert.min_eig_Z) >= -1e-9
 
     def test_max_iterations_status(self):
         sol = solve(domination_problem(random_density(3, 11).mat), max_iterations=2)
@@ -548,9 +583,9 @@ class TestEigenFallback:
         a = np.load(DATA / "nt_scaling_syevd_nonconvergence.npy")
         assert a.shape == (72, 72) and np.array_equal(a, a.T)
         ref = np.linalg.eigvalsh(a)
-        w, v = sdp._eigh(a)
+        w, v = _eigh(a)
         assert_eigendecomposition(a, w, v, ref)
-        assert np.max(np.abs(sdp._eigh(a, vectors=False) - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(_eigh(a, vectors=False) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_fallback_routes_when_syevd_fails(self, monkeypatch):
         # the recorded real matrix, and a complex Hermitian one as the
@@ -564,10 +599,10 @@ class TestEigenFallback:
         monkeypatch.setattr(np.linalg, "eigvalsh", lower_triangle_fails(np.linalg.eigvalsh, calls))
         for a, ref in zip(mats, refs):
             calls.clear()
-            w, v = sdp._eigh(a)
+            w, v = _eigh(a)
             assert calls == ["L", "U"]
             assert_eigendecomposition(a, w, v, ref)
-            assert np.max(np.abs(sdp._eigh(a, vectors=False) - ref)) <= 1e-12 * np.max(np.abs(ref))
+            assert np.max(np.abs(_eigh(a, vectors=False) - ref)) <= 1e-12 * np.max(np.abs(ref))
             assert calls == ["L", "U"] * 2
 
     def test_every_route_failing_raises_linalg_error(self, monkeypatch):
@@ -575,7 +610,7 @@ class TestEigenFallback:
         monkeypatch.setattr(np.linalg, "eigvalsh", _raise_linalg)
         for vectors in (True, False):
             with pytest.raises(np.linalg.LinAlgError):
-                sdp._eigh(np.eye(3), vectors=vectors)
+                _eigh(np.eye(3), vectors=vectors)
 
     def test_solve_reports_numerical_failure(self, monkeypatch):
         p = domination_problem(random_density(3, 16).mat)
