@@ -222,13 +222,19 @@ def run(argv: list[str] | None = None) -> int:
         # LinAlgError subclasses ValueError but is a numerical failure
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1
-    except (StateFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (StateFormatError, ValueError) as exc:  # core's loaders name the file a StateFormatError is in
+        print(f"{getattr(exc, 'filename', None) or 'error'}: {exc}", file=sys.stderr)
         return 2
-    if args.format == "json":
-        print(json.dumps(obj))
-    else:
-        _print_text(kind, obj)
+    try:
+        if args.format == "json":
+            print(json.dumps(obj))
+        else:
+            _print_text(kind, obj)
+        sys.stdout.flush()
+    except BrokenPipeError as exc:  # stdout is unwritable; devnull keeps the final flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"<stdout>: {exc.strerror}", file=sys.stderr)
+        return 2
     return 0 if obj.get("all_passed", True) else 1
 
 

@@ -391,7 +391,7 @@ def hermitian_basis(d: int) -> np.ndarray:
 
 
 class StateFormatError(ValueError):
-    """Raised when a state file parses as JSON but has the wrong structure."""
+    """Raised when a state file parses as JSON but has the wrong structure (its loader sets filename)."""
 
 
 def _fmt(x: float) -> str:
@@ -483,12 +483,12 @@ def save_state(state: BipartiteState, path: str) -> None:
 
 
 def _load(path: str, parse):
-    """parse(the text of the file at path); a JSONDecodeError leaves with the path as its filename."""
+    """parse(the file's text); a JSONDecodeError or StateFormatError leaves with the path as its filename."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     try:
         return parse(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, StateFormatError) as exc:
         exc.filename = path
         raise
 

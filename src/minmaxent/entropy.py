@@ -41,7 +41,6 @@ from .core import (
     _partial_trace_mat,
     _root_fidelity_mats,
     cq_to_density,
-    hermitian_basis,
     maximally_entangled,
     purify,
 )
@@ -144,17 +143,16 @@ def _solve_min_entropy_operator(
     """Run max{tr(rho E) : E >= 0, tr_A E = id_B} for a PSD operator rho.
 
     Returns the solution, the optimal sigma and the optimizer E.  The SDP
-    is the solver's standard primal with X = E, C = -rho and the d_B^2
-    constraints tr((id_A (x) B_k) E) = tr B_k over the Hermitian basis of
-    B, so primal_value = -tr(rho E) and dual_value = -tr(sigma), where
-    sigma = -sum_k y_k B_k satisfies id (x) sigma >= rho.  E is made to
+    is the solver's primal with X = E, C = -rho and the one family tr_A E =
+    id_B, so primal_value = -tr(rho E) and dual_value = -tr(sigma), where
+    sigma = -Y, Y its multiplier, satisfies id (x) sigma >= rho.  E is made to
     satisfy tr_A E = id_B exactly by the congruence with id (x) T^(-1/2),
     T = tr_A E, which keeps it positive semidefinite.
     """
     sol = sdp.solve(_min_entropy_problem(rho, d_a, d_b))
     _require_optimal(sol, "min-entropy SDP")
 
-    sigma = -np.einsum("k,kij->ij", sol.y_star, hermitian_basis(d_b))
+    sigma = -sol.y_star.reshape(d_b, d_b)
     e_ab = sol.X_star.mat
     w, v = _eigh(_partial_trace_mat(e_ab, d_a, d_b, "B"))
     fix = np.kron(np.eye(d_a), (v * w**-0.5) @ v.conj().T)

@@ -1,35 +1,27 @@
 """Self-contained primal-dual interior-point solver for Hermitian SDPs.
 
-Solves   minimize    tr(C X)
-         subject to  tr(A_i X) = b_i,   i = 1..m,
-                     X >= 0   (complex Hermitian positive semidefinite)
+Solves   minimize  tr(C X)  subject to  sum_s c_fs X_ss = R_f  for each family f,
+         X >= 0 (complex Hermitian positive semidefinite, cut into diagonal blocks X_ss)
 
-together with the dual
-
-         maximize    b' y
-         subject to  Z = C - sum_i y_i A_i >= 0.
-
-The iterates are complex Hermitian matrices throughout.  The iteration
-is an infeasible-start path-following method with Nesterov-Todd scaling
-(Todd, Toh and Tutuncu, SIAM J. Optim. 8, 1998) in Mehrotra's
-predictor-corrector form (S. Mehrotra, SIAM J. Optim. 2, 1992): the
-predictor's affine step sets the centering parameter, and the corrector
-carries its second-order term, a Lyapunov solve that is elementwise in
-the NT-scaled frame.  Only equality constraints are supported,
-in block families: X is cut into diagonal blocks X_ss, and a family
-(c, R) states sum_s c_s X_ss = R in the coordinates of the Hermitian
-basis B_k of R's size d.  The min-entropy, max tr(rho E) over E >= 0
-with tr_A E = id_B (the max-entropy and the decoupling accuracy are
-read from it on a purification), is one family weighting each of the
-d_A blocks by 1; the fidelity cross-check of the oracles fixes the two
-diagonal blocks of its variable with one family each.
-
-With U the basis matrix of a family (column k is vec B_k), A(X) is
-Re U^H vec(sum_s c_s X_ss), and A*(y) adds c_s reshape(U y) to each
-block.  The Schur matrix H = Re tr(A_i W A_j W) is Re(U_f^H G_fg U_g)
-per family pair, G_fg the reshuffled sum of c_fs c_gt kron(W_st, W_ts^T):
-one product of the gathered blocks, O(S^2 d^4) for S blocks of size d,
-then the basis change, O(d^6).
+with the dual: maximize sum_f tr(R_f Y_f) s.t. Z = C - A*(Y) >= 0, Y_f
+the Hermitian multiplier of family f's matrix equality, stated entry by
+entry.  A(X) is vec(sum_s c_s X_ss) per family, row-major, and A*(Y) adds
+c_s Y_f to each weighted block.  The iterates are complex Hermitian
+matrices throughout.  The iteration is an infeasible-start
+path-following method with Nesterov-Todd scaling (Todd, Toh and Tutuncu,
+SIAM J. Optim. 8, 1998) in Mehrotra's predictor-corrector form (S.
+Mehrotra, SIAM J. Optim. 2, 1992): the predictor's affine step sets the
+centering parameter, and the corrector carries its second-order term, a
+Lyapunov solve that is elementwise in the NT-scaled frame.  The
+min-entropy, max tr(rho E) over E >= 0 with tr_A E = id_B (the
+max-entropy and the decoupling accuracy are read from it on a
+purification), is one family weighting each of the d_A blocks by 1, and
+its Y is -sigma of min{tr sigma : id (x) sigma >= rho}; the fidelity
+cross-check of the oracles fixes the two diagonal blocks of its variable
+with one family each.  The Schur matrix of y -> A(W A*(y) W) is complex
+Hermitian, its (f, g) block the reshuffled sum of c_fs c_gt
+kron(W_st, W_ts^T): one product of the gathered blocks, O(S^2 d^4) for
+S blocks of size d.
 
 The iteration runs on numpy.linalg alone, and each step is taken in
 the NT-scaled frame G^-1 X G^-H = G^H Z G = diag(lam), where its length
@@ -38,10 +30,10 @@ step is taken at its estimated length alpha only if diag(lam) + alpha S
 factors by Cholesky as L L^H; the new X is rebuilt as (G L)(G L)^H, PSD
 by construction, and Z + alpha dZ is formed as it stands.  The
 predictor's step is never taken and only estimated.  Z^-1 =
-G diag(1/lam) G^H is read in the same frame, so only the Schur matrix's
-factor is inverted, once per iteration, and each of the two Newton
-systems is solved once with it.  Any LinAlgError ends the solve as a
-numerical failure that keeps the last completed iterate.
+G diag(1/lam) G^H is read in the same frame, so nothing is inverted: a
+Cholesky factorization tests the Schur matrix once per iteration, and
+each Newton system is one LU solve with it.  Any LinAlgError ends the
+solve as a numerical failure that keeps the last completed iterate.
 """
 
 from __future__ import annotations
@@ -51,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import HermitianOperator, _eigh, hermitian_basis
+from .core import HermitianOperator, _eigh
 
 __all__ = [
     "HermitianSdp",
@@ -95,8 +87,6 @@ class _Family(NamedTuple):
     rows: np.ndarray  # (weighted blocks, d): the indices of each block it weights
     flat: np.ndarray  # (weighted blocks, d^2): the flat indices of those blocks in X
     coef: np.ndarray  # their weights c_s
-    uh: np.ndarray  # U^H: row k is conj(vec B_k)
-    u: np.ndarray  # U: column k is vec B_k
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,12 +95,12 @@ class HermitianSdp:
 
     X is cut into diagonal blocks X_ss of the sizes in `blocks`, which sum
     to the dimension of C.  A family (coefficients c, rhs R) stands for the
-    d^2 equalities tr(B_k sum_s c_s X_ss) = tr(B_k R) over the Hermitian
-    basis B_k of R's size d (core.hermitian_basis), and every block it
-    weights must have size d.  y runs family by family, then over k, so
-    sum_k y_k B_k over one family is its dual matrix.  The constraints are
-    linearly independent exactly when, size by size, the coefficient
-    vectors of the families are, which is checked here as a rank.
+    d^2 entries (sum_s c_s X_ss)_jk = R_jk, R's size d, and every block it
+    weights must have size d.  y runs family by family, each family's d^2
+    entries being those of its Hermitian dual matrix Y_f, row-major; so
+    n_constraints is the sum of the d^2.  The constraints are linearly
+    independent exactly when, size by size, the coefficient vectors of the
+    families are, which is checked here as a rank.
     """
 
     objective: HermitianOperator
@@ -130,13 +120,13 @@ class HermitianSdp:
             group = np.array([coefs for coefs, rhs in fams if rhs.dim == d])
             if np.linalg.matrix_rank(group) < len(group):
                 raise ValueError("constraint operators are linearly dependent")
-        starts, maps, stop = np.cumsum((0,) + blocks), [], 0
+        starts, maps, swap, stop = np.cumsum((0,) + blocks), [], [], 0
         for coefs, rhs in fams:
             d, c = rhs.dim, np.array(coefs)
             rows = starts[:-1][c != 0][:, None] + np.arange(d)
             flat = (rows[:, :, None] * n + rows[:, None, :]).reshape(len(rows), -1)
-            u = hermitian_basis(d).reshape(d * d, d * d).T
-            maps.append(_Family(slice(stop, stop + d * d), rows, flat, c[c != 0], u.conj().T, u))
+            maps.append(_Family(slice(stop, stop + d * d), rows, flat, c[c != 0]))
+            swap.append(stop + np.arange(d * d).reshape(d, d).T.ravel())  # y_f's index of Y_f[k, j]
             stop += d * d
         # _schur's gather indices and coefficient products, per family pair (f, g)
         pairs = [
@@ -145,35 +135,35 @@ class HermitianSdp:
             for g in maps[i:]
         ]
         self.__dict__.update(blocks=blocks, families=fams, _maps=maps, _pairs=pairs)  # frozen dataclass
-        self.__dict__.update(dim=n, n_constraints=stop)  # X is dim x dim; y has n_constraints
+        self.__dict__.update(_swap=np.concatenate(swap), dim=n, n_constraints=stop)  # X is dim x dim
 
     def _op(self, x: np.ndarray) -> np.ndarray:
-        """A(X): per family, the weighted block sum M = sum_s c_s X_ss, then Re U^H vec M."""
-        return np.concatenate([(f.uh @ (f.coef @ x.take(f.flat))).real for f in self._maps])
+        """A(X): per family, vec(sum_s c_s X_ss), row-major."""
+        return np.concatenate([f.coef @ x.take(f.flat) for f in self._maps])
 
     def _adj(self, y: np.ndarray) -> np.ndarray:
-        """A*(y): per family, c_s reshape(U y_f) added onto each weighted block."""
+        """A*(y): per family, c_s Y_f added onto each weighted block."""
         out = np.zeros(self.dim**2, dtype=complex)
         for f in self._maps:
-            out[f.flat] += f.coef[:, None] * (f.u @ y[f.y])
+            out[f.flat] += f.coef[:, None] * y[f.y]
         return out.reshape(self.dim, self.dim)
 
     def _schur(self, w: np.ndarray) -> np.ndarray:
-        """H_ij = Re tr(A_i W A_j W) for Hermitian W, one family pair (f, g) at a time.
+        """The Hermitian matrix G of y -> A(W A*(y) W) for Hermitian W, one family pair (f, g) at a time.
 
-        H_fg = Re(U_f^H G U_g) with G[(j,i),(m,n)] = sum_st c_fs c_gt W_st[j,m] W_ts[n,i],
-        a reshuffled sum of kron(W_st, W_ts^T) and so one (d_f d_g, S_f S_g) @
-        (S_f S_g, d_g d_f) product of the gathered blocks, W_ts being W_st^H.
+        G_fg[(j,k),(m,n)] = sum_st c_fs c_gt W_st[j,m] W_ts[n,k], a reshuffled sum of
+        kron(W_st, W_ts^T) and so one (d_f d_g, S_f S_g) @ (S_f S_g, d_g d_f)
+        product of the gathered blocks, W_ts being W_st^H; G_gf = G_fg^H.
         """
-        h = np.empty((self.n_constraints,) * 2)
+        h = np.empty((self.n_constraints,) * 2, dtype=complex)
         for f, g, index, cc in self._pairs:
             wst = w.take(index)  # [s,j,t,m] = W_st[j,m]
             nf, df, ng, dg = wst.shape
             left = (cc * wst).transpose(1, 3, 0, 2).reshape(df * dg, nf * ng)
             right = wst.conj().transpose(0, 2, 3, 1).reshape(nf * ng, dg * df)
             kr = (left @ right).reshape(df, dg, dg, df).transpose(0, 3, 1, 2)
-            h[f.y, g.y] = (f.uh @ kr.reshape(df * df, dg * dg) @ g.u).real
-            h[g.y, f.y] = h[f.y, g.y].T
+            h[f.y, g.y] = kr.reshape(df * df, dg * dg)
+            h[g.y, f.y] = h[f.y, g.y].conj().T
         return h
 
 
@@ -181,11 +171,13 @@ class HermitianSdp:
 class SdpSolution:
     """Matched primal/dual certificate returned by solve().
 
-    primal_value is the infeasibility-compensated objective
-    tr(C X) + y'(b - A(X)); it coincides with tr(C X) up to rounding
-    whenever the constraint residual is at rounding level, and stays an
-    accurate optimum estimate when a degenerate face leaves a small
-    residual floor that large multipliers would otherwise amplify.
+    y_star holds, family by family, the entries of each exactly Hermitian
+    dual matrix Y_f, row-major; dual_value is sum_f tr(R_f Y_f).
+    primal_value is the infeasibility-compensated objective tr(C X) +
+    Re <y, b - A(X)>; it coincides with tr(C X) up to rounding whenever
+    the constraint residual is at rounding level, and stays an accurate
+    optimum estimate when a degenerate face leaves a small residual floor
+    that large multipliers would otherwise amplify.
     """
 
     X_star: HermitianOperator
@@ -258,7 +250,8 @@ def solve(problem: HermitianSdp, max_iterations: int = 200) -> SdpSolution:
     data yields identical output.  Each step is taken in the NT-scaled frame
     G^-1 X G^-H = G^H Z G = diag(lam): its cone test is one Cholesky of
     diag(lam) + alpha S at the estimated length alpha, the new X is rebuilt from
-    the factor G L, and each Newton system is solved once with the Schur factor.
+    the factor G L, and each Newton system is one LU solve with the Schur matrix,
+    once Cholesky has found that matrix positive definite.
 
     The returned status is one of
       "optimal"               the certificate meets the tolerances above;
@@ -276,8 +269,8 @@ def solve(problem: HermitianSdp, max_iterations: int = 200) -> SdpSolution:
     n = problem.dim
     m = problem.n_constraints
     cmat = problem.objective.mat
-    a_op, a_adj, maps = problem._op, problem._adj, problem._maps
-    b = np.concatenate([(f.uh @ r.mat.ravel()).real for f, (_, r) in zip(maps, problem.families)])
+    a_op, a_adj, swap = problem._op, problem._adj, problem._swap
+    b = np.concatenate([r.mat.ravel() for _, r in problem.families])
     norm_b = float(np.linalg.norm(b))
     norm_c = float(np.linalg.norm(cmat))
 
@@ -287,7 +280,7 @@ def solve(problem: HermitianSdp, max_iterations: int = 200) -> SdpSolution:
     tau_p = num / den if num > 0.0 else 1.0  # no positive multiple fits where A(I)'b <= 0
     x, lx = tau_p * np.eye(n), np.sqrt(tau_p) * np.eye(n)
     z = (norm_c or 1.0) * np.eye(n)
-    y = np.zeros(m)
+    y = np.zeros(m, dtype=complex)
 
     status = STATUS_MAX_ITERATIONS
     iterations = 0
@@ -298,9 +291,9 @@ def solve(problem: HermitianSdp, max_iterations: int = 200) -> SdpSolution:
         xz = float(np.vdot(z, x).real)
         # infeasibility-compensated objective (the Lagrangian value): when
         # the residual floor is paid for by large multipliers, tr(C X)
-        # alone underestimates the optimum by y'(b - A(X))
-        pv = float(np.vdot(cmat, x).real) + float(y @ rp)
-        dv = float(b @ y)
+        # alone underestimates the optimum by Re <y, b - A(X)>
+        pv = float(np.vdot(cmat, x).real) + float(np.vdot(y, rp).real)
+        dv = float(np.vdot(b, y).real)
         pinf = float(np.linalg.norm(rp)) / (1.0 + norm_b)
         dinf = float(np.linalg.norm(rd)) / (1.0 + norm_c)
         return rp, rd, xz, pv, dv, pinf, dinf, xz / (1.0 + abs(pv) + abs(dv))
@@ -326,10 +319,12 @@ def solve(problem: HermitianSdp, max_iterations: int = 200) -> SdpSolution:
             w = 0.5 * (w + w.conj().T)
 
             schur = problem._schur(w)
-            schur_inv = np.linalg.inv(np.linalg.cholesky(0.5 * (schur + schur.T)))
+            schur = 0.5 * (schur + schur.conj().T)
+            np.linalg.cholesky(schur)  # the test that the Schur matrix is positive definite
 
             def solve_schur(rhs: np.ndarray) -> np.ndarray:
-                return schur_inv.T @ (schur_inv @ rhs)
+                dy = np.linalg.solve(schur, rhs)
+                return 0.5 * (dy + dy[swap].conj())  # each Y_f exactly Hermitian
 
             rhs = b + a_op(w @ rd @ w)  # rp - A(-X - W rd W): the predictor's, and the corrector's but one term
 
@@ -385,21 +380,21 @@ def check_certificate(problem: HermitianSdp, solution: SdpSolution) -> Certifica
     x = solution.X_star.mat
     z = solution.Z_star.mat
     y = solution.y_star
-    # every A_i written out densely: c_s B_k on each block s of its family
+    # every A_(j,k) written out densely: c_s E_kj on each block s of its family, so
+    # tr(A_(j,k) X) = sum_s c_s (X_ss)_jk = R_jk, and y_(j,k) multiplies A_(j,k)^H
     edges, cons = np.cumsum((0,) + problem.blocks), []
     for coefs, rhs in problem.families:
-        for bk in hermitian_basis(rhs.dim):
+        for j, k in np.ndindex(rhs.dim, rhs.dim):
             a = np.zeros((problem.dim,) * 2, dtype=complex)
-            for c, lo, hi in zip(coefs, edges, edges[1:]):
-                a[lo:hi, lo:hi] = c * bk if c else 0.0
-            cons.append((a, float(np.trace(bk @ rhs.mat).real)))
-    residuals = [abs(float(np.trace(a @ x).real) - b) for a, b in cons]
-    asum = sum(yi * a for yi, (a, _) in zip(y, cons))
+            a[edges[:-1] + k, edges[:-1] + j] = coefs
+            cons.append((a, rhs.mat[j, k]))
+    residuals = [abs(np.trace(a @ x) - b) for a, b in cons]
+    asum = sum(yi * a.conj().T for yi, (a, _) in zip(y, cons))
     dual_res = float(np.max(np.abs(problem.objective.mat - z - asum)))
     pv = float(np.trace(problem.objective.mat @ x).real)
-    dv = float(sum(yi * b for yi, (_, b) in zip(y, cons)))
+    dv = float(sum(np.conj(yi) * b for yi, (_, b) in zip(y, cons)).real)
     return CertificateReport(
-        constraint_residual=max(residuals),
+        constraint_residual=float(max(residuals)),
         dual_residual=dual_res,
         min_eig_X=float(_eigh(x, vectors=False)[0]),
         min_eig_Z=float(_eigh(z, vectors=False)[0]),

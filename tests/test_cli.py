@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -123,6 +124,31 @@ def test_malformed_target_is_reported_under_its_own_path(library, tmp_path, caps
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith(f"{bad}:3:")
     assert str(state) not in captured.err and captured.err.count("\n") == 1
+
+
+def test_structural_error_is_reported_under_its_own_path(library, tmp_path, capsys):
+    state, nokey = library / "random_2x2.json", tmp_path / "nokey.json"
+    nokey.write_text('{"d_A": 2}')
+    for argv in (
+        ["hmin", "--input", str(nokey)],
+        ["fidmax", "--input", str(nokey), "--target", str(state)],
+        ["fidmax", "--input", str(state), "--target", str(nokey)],
+    ):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"{nokey}: missing key 'd_B'\n", argv
+
+
+def test_closed_stdout_pipe_exits_2_without_a_traceback(library):
+    # the reader is gone before the verb writes: stdout is an unwritable path
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    argv = [sys.executable, "-m", "minmaxent.cli", "hmin", "--input", str(library / "phi2.json")]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 2
+    assert err == f"<stdout>: {os.strerror(errno.EPIPE)}\n"
 
 
 @pytest.mark.parametrize(

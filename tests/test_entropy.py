@@ -113,6 +113,14 @@ class TestMinEntropy:
         assert cert.X_star.dim == 3 * 2
         assert cert.y_star.size == 2**2
 
+    def test_sigma_is_the_normalized_dual_matrix(self):
+        # y_star is the multiplier Y of tr_A E = id_B row-major, and sigma = -Y
+        rep = min_entropy(random_state(3, 2, seed=42))
+        y = rep.certificate.y_star.reshape(2, 2)
+        assert np.array_equal(y, y.conj().T)
+        assert np.array_equal(rep.optimizer_sigma.mat, -y / np.trace(-y).real)
+        assert np.trace(-y).real == pytest.approx(-rep.certificate.dual_value, rel=1e-14)  # tr sigma = 2^-H_min
+
     def test_full_rank_3x2_regression(self):
         # a feasible start E = id/d_A stalled on this state above the tolerance
         rep = min_entropy(BipartiteState(random_density(6, 38), 3, 2))

@@ -17,7 +17,6 @@ from minmaxent import (
     cq_to_density,
     decoupling_accuracy,
     guessing_probability,
-    hermitian_basis,
     max_entropy,
     min_entropy,
     random_density,
@@ -275,18 +274,20 @@ BUILDERS = {
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 class TestConstraintCoords:
-    """The block-family map, in Hermitian-basis coordinates, against the dense constraint matrices."""
+    """The block-family map, entry by entry, against the dense constraint matrices."""
 
     @staticmethod
     def dense(name: str) -> tuple[HermitianSdp, np.ndarray]:
-        # A_i = block_diag(c_1 B_k, ..., c_S B_k) for family (c, rhs), B_k over rhs's basis
+        # A_(j,k) = block_diag(c_1 E_kj, ..., c_S E_kj) for family (c, rhs): tr(A_(j,k) X) = sum_s c_s (X_ss)_jk
         p = BUILDERS[name]()
-        amats = [
-            scipy.linalg.block_diag(*(c * bk if c else np.zeros((d, d)) for c, d in zip(coefs, p.blocks)))
-            for coefs, rhs in p.families
-            for bk in hermitian_basis(rhs.dim)
-        ]
-        return p, np.stack(amats)
+        amats = []
+        for coefs, rhs in p.families:
+            for j, k in itertools.product(range(rhs.dim), repeat=2):
+                e_kj = np.zeros((rhs.dim, rhs.dim))
+                e_kj[k, j] = 1.0
+                blocks = (c * e_kj if c else np.zeros((d, d)) for c, d in zip(coefs, p.blocks))
+                amats.append(scipy.linalg.block_diag(*blocks))
+        return p, np.stack(amats).astype(complex)
 
     @staticmethod
     def random_hermitian(n: int, seed: int) -> np.ndarray:
@@ -295,11 +296,12 @@ class TestConstraintCoords:
         return g @ g.conj().T / n
 
     def test_schur_matches_dense_definition(self, name):
+        # G_ij = A(W A*(e_j) W)_i = tr(A_i W A_j^H W), A_j^H = A_j^T for these real A_j
         p, amats = self.dense(name)
         n = amats.shape[1]
         w = self.random_hermitian(n, 40) + 0.1 * np.eye(n)
-        waw = np.einsum("ab,jbc,cd->jad", w, amats, w)
-        ref = np.einsum("iab,jba->ij", amats, waw).real
+        waw = np.einsum("ab,jcb,cd->jad", w, amats, w)
+        ref = np.einsum("iab,jba->ij", amats, waw)
         h = p._schur(w)
         assert np.max(np.abs(h - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -308,12 +310,23 @@ class TestConstraintCoords:
         m, n = amats.shape[0], amats.shape[1]
         assert (m, n) == (p.n_constraints, p.dim)
         x = self.random_hermitian(n, 41)
-        y = np.random.default_rng(41).standard_normal(m)
+        rng = np.random.default_rng(41)
+        y = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         ax, aty = p._op(x), p._adj(y)
-        assert np.max(np.abs(ax - np.einsum("iab,ba->i", amats, x).real)) <= 1e-12
-        assert np.max(np.abs(aty - np.einsum("i,iab->ab", y, amats))) <= 1e-12
-        trace = float(np.trace(aty @ x).real)
-        assert abs(ax @ y - trace) <= 1e-12 * (1.0 + abs(ax @ y))
+        assert np.max(np.abs(ax - np.einsum("iab,ba->i", amats, x))) <= 1e-12
+        assert np.max(np.abs(aty - np.einsum("i,iba->ab", y, amats))) <= 1e-12
+        # <y, A(X)> = <A*(y), X>
+        assert abs(np.vdot(y, ax) - np.vdot(aty, x)) <= 1e-12 * (1.0 + abs(np.vdot(y, ax)))
+
+    def test_each_dual_block_is_exactly_hermitian(self, name):
+        # y_star holds each family's multiplier Y_f row-major, family by family
+        p = BUILDERS[name]()
+        sol = solve(p)
+        assert sol.status == "optimal" and sol.y_star.shape == (p.n_constraints,)
+        offsets = np.cumsum([0] + [rhs.dim**2 for _, rhs in p.families])
+        for (_, rhs), lo, hi in zip(p.families, offsets, offsets[1:]):
+            y_f = sol.y_star[lo:hi].reshape(rhs.dim, rhs.dim)
+            assert np.array_equal(y_f, y_f.conj().T)
 
 
 class TestMaxStep:
@@ -433,19 +446,22 @@ class TestMaxStep:
         assert calls == {"estimate": 3 * steps, "max_step": 2 * steps, "outside": 0}
 
     def test_solve_inverts_no_iterate_factor(self, monkeypatch):
-        # step lengths and Z^-1 are read in the NT-scaled frame; only the
-        # m x m Schur factor is inverted (m = 9 differs from n = 6)
+        # step lengths and Z^-1 are read in the NT-scaled frame, and the two
+        # Newton systems of a step are each one solve with the m x m Schur
+        # matrix (m = 9 differs from n = 6): nothing is inverted
         p = _min_entropy_problem(random_density(6, 65).mat, 2, 3)
-        inv, shapes = np.linalg.inv, []
+        linalg_solve, inverted, solved = np.linalg.solve, [], []
 
-        def watched_inv(a, *args, **kwargs):
-            shapes.append(a.shape)
-            return inv(a, *args, **kwargs)
+        def watched_solve(a, *args, **kwargs):
+            solved.append(a.shape)
+            return linalg_solve(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "inv", watched_inv)
+        monkeypatch.setattr(np.linalg, "inv", lambda a, *args, **kwargs: inverted.append(a.shape))
+        monkeypatch.setattr(np.linalg, "solve", watched_solve)
         sol = solve(p)
         assert sol.status == "optimal"
-        assert shapes == [(9, 9)] * (sol.iterations - 1)
+        assert inverted == []
+        assert solved == [(9, 9)] * 2 * (sol.iterations - 1)
 
     def test_non_finite_factor_is_never_accepted(self, monkeypatch):
         # numpy's Cholesky returns a NaN factor for NaN input instead of failing
