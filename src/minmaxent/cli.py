@@ -82,12 +82,15 @@ def _bits(quantity: str, value: float, sign: float) -> dict:
 
 def _load_target(path: str, d_a: int) -> PureState:
     proj = load_state(path)
-    if proj.d_A != d_a or proj.d_B != d_a:
-        raise StateFormatError(f"target must have d_A = d_B = {d_a}, got {proj.d_A} x {proj.d_B}")
     w, v = _eigh(proj.mat)
-    if w[-1] < 1.0 - 1e-9:
-        raise StateFormatError(f"target is not pure (largest eigenvalue {w[-1]!r})")
-    return PureState(v[:, -1])
+    if proj.d_A != d_a or proj.d_B != d_a:
+        exc = StateFormatError(f"target must have d_A = d_B = {d_a}, got {proj.d_A} x {proj.d_B}")
+    elif w[-1] < 1.0 - 1e-9:
+        exc = StateFormatError(f"target is not pure (largest eigenvalue {w[-1]!r})")
+    else:
+        return PureState(v[:, -1])
+    exc.filename = path  # reported under its path, as core's loaders do
+    raise exc
 
 
 def _qcorr(args: argparse.Namespace) -> dict:

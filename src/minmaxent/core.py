@@ -44,8 +44,12 @@ __all__ = [
 ]
 
 # Construction tolerances.  Eigenvalues below -PSD_ATOL fail positivity
-# checks; rank and pseudo-inverse cutoffs are relative to the largest
-# eigenvalue so purification ranks stay stable under noise.
+# checks.  RANK_RTOL, relative to the largest eigenvalue, is only
+# matrix_function's pseudo-inverse cutoff: supports (purify, root_fidelity,
+# max_relative_entropy) drop only eigenvalues at the eigensolver's rounding
+# level, 10 d eps of the largest (_psd_factor), since a fidelity is only
+# 1/2-Hoelder in the state and a dropped eigenvalue delta moves it by about
+# sqrt(delta).
 HERMITICITY_ATOL = 1e-10
 PSD_ATOL = 1e-9
 TRACE_ATOL = 1e-9
@@ -276,16 +280,19 @@ def trace_norm(m: HermitianOperator) -> float:
     return float(np.sum(np.abs(_eigh(m.mat, vectors=False))))
 
 
-def _psd_factor(mat: np.ndarray, rtol: float = 0.0) -> np.ndarray:
-    """V with V V† = mat, one column per eigenvalue above max(rtol, 10 d eps) times the largest.
+def _support_cut(w: np.ndarray) -> float:
+    """10 d eps times the largest of the d eigenvalues w: above the eigensolver's rounding level."""
+    return 10 * len(w) * np.finfo(float).eps * max(float(np.max(w)), 0.0)
 
-    10 d eps lies above the eigensolver's rounding level for d x d mat.  Columns
-    follow the eigenvalues in descending order; at least one is kept.
+
+def _psd_factor(mat: np.ndarray) -> np.ndarray:
+    """V with V V† = mat, one column per eigenvalue above _support_cut.
+
+    Columns follow the eigenvalues in descending order; at least one is kept.
     """
     w, v = _eigh(mat)
     w, v = w[::-1], v[:, ::-1]
-    cutoff = max(rtol, 10 * len(w) * np.finfo(float).eps) * max(w[0], 0.0)
-    rank = max(1, int(np.sum(w > cutoff)))
+    rank = max(1, int(np.sum(w > _support_cut(w))))
     return v[:, :rank] * np.sqrt(np.clip(w[:rank], 0.0, None))
 
 
@@ -314,10 +321,12 @@ def root_fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
 def purify(rho: DensityOperator) -> PureState:
     """A purification on system x ancilla with ancilla dimension rank(rho).
 
-    Tracing out the appended ancilla recovers rho.  The ancilla index is
-    minor (appended after the system index).
+    The rank counts every eigenvalue above the eigensolver's rounding level,
+    10 d eps of the largest, as root_fidelity's support factors do.  Tracing
+    out the appended ancilla recovers rho.  The ancilla index is minor
+    (appended after the system index).
     """
-    amp = _psd_factor(rho.mat, RANK_RTOL).reshape(-1)
+    amp = _psd_factor(rho.mat).reshape(-1)
     return PureState(amp / np.linalg.norm(amp))
 
 

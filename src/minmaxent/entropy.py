@@ -35,11 +35,11 @@ from .core import (
     DensityOperator,
     HermitianOperator,
     PureState,
-    RANK_RTOL,
     _eigh,
     _matrix_to_json,
     _partial_trace_mat,
     _root_fidelity_mats,
+    _support_cut,
     cq_to_density,
     maximally_entangled,
     purify,
@@ -102,8 +102,10 @@ def max_relative_entropy(tau: HermitianOperator, tau_prime: HermitianOperator) -
     """Smallest lam with tau <= 2^lam * tau_prime in the semidefinite order.
 
     Equals log2 of the largest eigenvalue of P t'^(-1/2) tau t'^(-1/2) P
-    with P the support projector of tau_prime; +inf when the support of
-    tau leaks out of the support of tau_prime by more than 1e-9 in trace.
+    with P the support projector of tau_prime, which drops only eigenvalues
+    at the eigensolver's rounding level (as purify and root_fidelity do);
+    +inf when the support of tau leaks out of the support of tau_prime by
+    more than 1e-9 in trace.
     """
     if tau.dim != tau_prime.dim:
         raise ValueError("operators must have equal dimensions")
@@ -113,7 +115,7 @@ def max_relative_entropy(tau: HermitianOperator, tau_prime: HermitianOperator) -
             raise ValueError(f"{name} has eigenvalue {ev:.3e}, not positive semidefinite")
     w, v = _eigh(tau_prime.mat)
     w = np.clip(w, 0.0, None)
-    support = w > RANK_RTOL * max(float(w[-1]), 1e-300)
+    support = w > _support_cut(w)
     leak = float(np.trace(tau.mat).real) - float(
         np.einsum("ij,jk,ki->", v[:, support].conj().T, tau.mat, v[:, support]).real
     )
@@ -132,9 +134,8 @@ def _require_optimal(sol: SdpSolution, what: str) -> None:
 
 
 def _min_entropy_problem(rho: np.ndarray, d_a: int, d_b: int) -> sdp.HermitianSdp:
-    """min tr(-rho E) s.t. tr_A E = id_B: weight 1 on each of the d_A diagonal blocks E_aa."""
-    family = ((1.0,) * d_a, HermitianOperator(np.eye(d_b)))
-    return sdp.HermitianSdp(HermitianOperator(-rho), (d_b,) * d_a, (family,))
+    """min tr(-rho E) s.t. tr_A E = id_B."""
+    return sdp.HermitianSdp(HermitianOperator(-rho), d_a, d_b)
 
 
 def _solve_min_entropy_operator(
@@ -143,9 +144,9 @@ def _solve_min_entropy_operator(
     """Run max{tr(rho E) : E >= 0, tr_A E = id_B} for a PSD operator rho.
 
     Returns the solution, the optimal sigma and the optimizer E.  The SDP
-    is the solver's primal with X = E, C = -rho and the one family tr_A E =
-    id_B, so primal_value = -tr(rho E) and dual_value = -tr(sigma), where
-    sigma = -Y, Y its multiplier, satisfies id (x) sigma >= rho.  E is made to
+    is the solver's primal with X = E and C = -rho, so primal_value =
+    -tr(rho E) and dual_value = -tr(sigma), where sigma = -Y, Y its
+    multiplier, satisfies id (x) sigma >= rho.  E is made to
     satisfy tr_A E = id_B exactly by the congruence with id (x) T^(-1/2),
     T = tr_A E, which keeps it positive semidefinite.
     """

@@ -1,20 +1,20 @@
 """Independent verifiers for the entropy quantities.
 
 Everything here is deliberately dumb and solver-free (the one exception,
-fidelity_sdp, exists to cross-check the factored fidelity formula
-||V_rho† V_omega||_1 of core.root_fidelity against the interior-point
-solver).  Closed forms use nothing but eigendecompositions; search
+fidelity_sdp, cross-checks the factored fidelity formula ||V_rho† V_omega||_1
+of core.root_fidelity against the min-entropy SDP, through Uhlmann's
+theorem).  Closed forms use nothing but eigendecompositions; search
 oracles return one-sided bounds and are asserted as such, never as
 equalities.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import sdp
 from .channels import ChoiMatrix
 from .core import (
     BipartiteState,
@@ -26,7 +26,9 @@ from .core import (
     _psd_factor,
     hermitian_basis,
     maximally_entangled,
+    purify,
 )
+from .entropy import max_target_fidelity
 
 __all__ = [
     "OracleReport",
@@ -225,40 +227,31 @@ def sampled_singlet_fraction(state: BipartiteState, samples: int, seed: int) -> 
     return state.d_A * sampled_target_fidelity(state, phi, samples, seed)
 
 
-def _fidelity_problem(rho: np.ndarray, omega: np.ndarray) -> sdp.HermitianSdp:
-    """max (1/2) tr(X + X†) over [[rho, X], [X†, omega]] >= 0, in standard form.
-
-    Positivity forces X into the supports of the two corners, so the
-    program is presolved onto those supports (isometries U, V: the
-    normalized columns of the support factors of core._psd_factor), which
-    keeps it strictly feasible for pure states.  The variable is the
-    two-block [[U† rho U, Xt], [Xt†, V† omega V]] with its diagonal blocks
-    fixed by equalities.
-    """
-    u, v = (f / np.linalg.norm(f, axis=0) for f in (_psd_factor(rho), _psd_factor(omega)))
-    r1, r2 = u.shape[1], v.shape[1]
-    s1 = u.conj().T @ rho @ u
-    s2 = v.conj().T @ omega @ v
-    n = r1 + r2
-    # objective: maximize Re tr(V† U Xt) for the off-diagonal block Xt
-    k = v.conj().T @ u
-    cmat = np.zeros((n, n), dtype=complex)
-    cmat[:r1, r1:] = -0.5 * k.conj().T
-    cmat[r1:, :r1] = -0.5 * k
-    families = (((1.0, 0.0), HermitianOperator(s1)), ((0.0, 1.0), HermitianOperator(s2)))
-    return sdp.HermitianSdp(HermitianOperator(cmat), (r1, r2), families)
-
-
 def fidelity_sdp(rho: DensityOperator, omega: DensityOperator) -> float:
-    """Root fidelity via its block-matrix program, solved with the SDP engine.
+    """Root fidelity from Uhlmann's theorem, solved as a min-entropy SDP.
 
-    Agrees with the factored formula ||V_rho† V_omega||_1 (rho = V_rho V_rho†,
-    omega = V_omega V_omega†) of root_fidelity to solver accuracy and
-    serves as its independent cross-check.
+    F(rho, omega)^2 is the best overlap of a purification psi of rho, over
+    channels on its purifying system, with the purification vec(sqrt(omega))
+    of omega (A. Uhlmann, Rep. Math. Phys. 9, 1976): max_target_fidelity(psi
+    psi†, vec sqrt(omega)).  That target needs a full-rank omega, so the pair
+    is first presolved onto the support of omega (eigenvalues at the
+    eigensolver's rounding level count as zero), where F(rho, omega) =
+    F(P rho P, omega) for P its projector; an eigenvalue kept there but
+    below max_target_fidelity's Schmidt bound of 1e-9 raises ValueError.
+    Agrees with the factored formula ||V_rho† V_omega||_1 of root_fidelity
+    to solver accuracy and serves as its independent cross-check.
     """
     if rho.dim != omega.dim:
         raise ValueError("states must have equal dimensions")
-    sol = sdp.solve(_fidelity_problem(rho.mat, omega.mat))
-    if sol.status != sdp.STATUS_OPTIMAL:
-        raise sdp.SolverError(f"fidelity SDP stopped with status {sol.status}", sol)
-    return max(0.0, -sol.primal_value)
+    f = _psd_factor(omega.mat)  # omega = f f†: columns sqrt(w_i) v_i over the support of omega
+    root_w = np.linalg.norm(f, axis=0)
+    u = f / root_w
+    rho_p = u.conj().T @ rho.mat @ u  # P rho P in omega's eigenbasis
+    t = float(np.trace(rho_p).real)
+    if t <= 0.0:
+        return 0.0
+    psi = purify(DensityOperator.from_matrix(rho_p / t)).amplitudes
+    r = len(root_w)
+    state = BipartiteState(DensityOperator(PureState(psi).projector()), r, len(psi) // r)
+    target = PureState(np.diag(root_w / np.linalg.norm(root_w)).reshape(-1))  # vec sqrt(omega) in that basis
+    return math.sqrt(t * float(root_w @ root_w) * max_target_fidelity(state, target))

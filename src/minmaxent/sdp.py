@@ -1,27 +1,25 @@
-"""Self-contained primal-dual interior-point solver for Hermitian SDPs.
+"""Self-contained primal-dual interior-point solver for the min-entropy SDP.
 
-Solves   minimize  tr(C X)  subject to  sum_s c_fs X_ss = R_f  for each family f,
-         X >= 0 (complex Hermitian positive semidefinite, cut into diagonal blocks X_ss)
+Solves   minimize  tr(C X)  subject to  tr_A X = id_B,  X >= 0 on A (x) B
+         (complex Hermitian positive semidefinite)
 
-with the dual: maximize sum_f tr(R_f Y_f) s.t. Z = C - A*(Y) >= 0, Y_f
-the Hermitian multiplier of family f's matrix equality, stated entry by
-entry.  A(X) is vec(sum_s c_s X_ss) per family, row-major, and A*(Y) adds
-c_s Y_f to each weighted block.  The iterates are complex Hermitian
-matrices throughout.  The iteration is an infeasible-start
-path-following method with Nesterov-Todd scaling (Todd, Toh and Tutuncu,
-SIAM J. Optim. 8, 1998) in Mehrotra's predictor-corrector form (S.
-Mehrotra, SIAM J. Optim. 2, 1992): the predictor's affine step sets the
-centering parameter, and the corrector carries its second-order term, a
-Lyapunov solve that is elementwise in the NT-scaled frame.  The
-min-entropy, max tr(rho E) over E >= 0 with tr_A E = id_B (the
-max-entropy and the decoupling accuracy are read from it on a
-purification), is one family weighting each of the d_A blocks by 1, and
-its Y is -sigma of min{tr sigma : id (x) sigma >= rho}; the fidelity
-cross-check of the oracles fixes the two diagonal blocks of its variable
-with one family each.  The Schur matrix of y -> A(W A*(y) W) is complex
-Hermitian, its (f, g) block the reshuffled sum of c_fs c_gt
-kron(W_st, W_ts^T): one product of the gathered blocks, O(S^2 d^4) for
-S blocks of size d.
+with the dual: maximize tr(Y) s.t. Z = C - id_A (x) Y >= 0, Y the
+Hermitian multiplier of the matrix equality, stated entry by entry:
+A(X) = vec tr_A X, row-major, and A*(Y) = id_A (x) Y.  Every library
+solve is this one form: with C = -rho it is max{tr(rho E) : E >= 0,
+tr_A E = id_B}, whose Y is -sigma of min{tr sigma : id (x) sigma >= rho};
+the min-entropy, the guessing probability, the singlet fraction and the
+target fidelity read it on their own operators, the max-entropy, the
+decoupling accuracy and the key secrecy on a purification.  The
+iterates are complex Hermitian matrices throughout.  The iteration is an
+infeasible-start path-following method with Nesterov-Todd scaling (Todd,
+Toh and Tutuncu, SIAM J. Optim. 8, 1998) in Mehrotra's
+predictor-corrector form (S. Mehrotra, SIAM J. Optim. 2, 1992): the
+predictor's affine step sets the centering parameter, and the corrector
+carries its second-order term, a Lyapunov solve that is elementwise in
+the NT-scaled frame.  The Schur matrix of Y -> tr_A[W (id (x) Y) W] is
+complex Hermitian, the reshuffled sum over blocks of kron(W_st, W_ts^T):
+one product of W's blocks, O(d_A^2 d_B^4).
 
 The iteration runs on numpy.linalg alone, and each step is taken in
 the NT-scaled frame G^-1 X G^-H = G^H Z G = diag(lam), where its length
@@ -39,7 +37,6 @@ solve as a numerical failure that keeps the last completed iterate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -64,12 +61,18 @@ STATUS_INFEASIBLE_SUSPECTED = "infeasible_suspected"
 STATUS_NUMERICAL_FAILURE = "numerical_failure"
 
 # Stopping target (relative gap and residuals), and the iterate norm
-# beyond which the problem is suspected infeasible/unbounded.
+# beyond which a solve stops as diverged (both sides of the min-entropy
+# SDP are strictly feasible, so only a numerical divergence reaches it).
 DEFAULT_TOL = 1e-9
 DIVERGENCE_LIMIT = 1e12
 # STEP_FRACTION: per cycle at benchmark seeds 1-4, 0.97 takes 459-468 iterations on minent-batch
 # and 147-153 on hmax-purified; 0.95 took 471-481 and 152-159, 0.98 456-463 and 151-156, 0.9 522-528 and 165-167.
 STEP_FRACTION = 0.97
+# CENTERING_EXPONENT: the centering sigma is (mu_aff / mu)^CENTERING_EXPONENT.  Iterations at 3 / 2 / 1.5 /
+# 1.25 / 1.1 / 1: benchmark cycles at seeds 1-3 1836 / 1728 / 1675 / 1663 / 1655 / 1680 (held-out seeds 7-9:
+# 1852 at 3, 1683 at 1.5, 1667 at 1.25), verify seeds 0-2 12399 / 11946 / 11809 / 11776 / 11840 / 12057 (seeds
+# 3-5: 12400, 11782, 11763), the 2400-call sweep 23883 / 22925 / 22513 / 22385 / 22403 / 22698, all optimal.
+CENTERING_EXPONENT = 1.25
 
 
 class SolverError(RuntimeError):
@@ -80,99 +83,56 @@ class SolverError(RuntimeError):
         self.solution = solution
 
 
-class _Family(NamedTuple):
-    """One family's share of the constraint map, derived once by HermitianSdp."""
-
-    y: slice  # its multipliers
-    rows: np.ndarray  # (weighted blocks, d): the indices of each block it weights
-    flat: np.ndarray  # (weighted blocks, d^2): the flat indices of those blocks in X
-    coef: np.ndarray  # their weights c_s
-
-
 @dataclass(frozen=True, eq=False)
 class HermitianSdp:
-    """Block-family SDP data: minimize tr(C X) s.t. sum_s c_s X_ss = R per family, X >= 0.
+    """The min-entropy SDP: minimize tr(C X) s.t. tr_A X = id_B, X >= 0, for X on A (x) B.
 
-    X is cut into diagonal blocks X_ss of the sizes in `blocks`, which sum
-    to the dimension of C.  A family (coefficients c, rhs R) stands for the
-    d^2 entries (sum_s c_s X_ss)_jk = R_jk, R's size d, and every block it
-    weights must have size d.  y runs family by family, each family's d^2
-    entries being those of its Hermitian dual matrix Y_f, row-major; so
-    n_constraints is the sum of the d^2.  The constraints are linearly
-    independent exactly when, size by size, the coefficient vectors of the
-    families are, which is checked here as a rank.
+    A is the major index, so X is d_A x d_A blocks X_ab of size d_B and the
+    constraint is sum_a X_aa = id_B, the d_B^2 entries (sum_a X_aa)_jk = delta_jk.
+    y holds them row-major, as the entries of their Hermitian multiplier Y;
+    so n_constraints is d_B^2.
     """
 
     objective: HermitianOperator
-    blocks: tuple[int, ...]
-    families: tuple[tuple[tuple[float, ...], HermitianOperator], ...]
+    d_A: int
+    d_B: int
 
     def __post_init__(self) -> None:
-        n = self.objective.dim
-        blocks = tuple(int(d) for d in self.blocks)
-        fams = tuple((tuple(float(c) for c in coefs), rhs) for coefs, rhs in self.families)
-        if not fams or min(blocks, default=0) < 1 or sum(blocks) != n:
-            raise ValueError(f"need a family, and block sizes {blocks} partitioning dimension {n}")
-        for i, (coefs, rhs) in enumerate(fams):
-            if len(coefs) != len(blocks) or any(c and d != rhs.dim for c, d in zip(coefs, blocks)):
-                raise ValueError(f"family {i} must weight {len(blocks)} blocks, of size {rhs.dim}")
-        for d in {rhs.dim for _, rhs in fams}:
-            group = np.array([coefs for coefs, rhs in fams if rhs.dim == d])
-            if np.linalg.matrix_rank(group) < len(group):
-                raise ValueError("constraint operators are linearly dependent")
-        starts, maps, swap, stop = np.cumsum((0,) + blocks), [], [], 0
-        for coefs, rhs in fams:
-            d, c = rhs.dim, np.array(coefs)
-            rows = starts[:-1][c != 0][:, None] + np.arange(d)
-            flat = (rows[:, :, None] * n + rows[:, None, :]).reshape(len(rows), -1)
-            maps.append(_Family(slice(stop, stop + d * d), rows, flat, c[c != 0]))
-            swap.append(stop + np.arange(d * d).reshape(d, d).T.ravel())  # y_f's index of Y_f[k, j]
-            stop += d * d
-        # _schur's gather indices and coefficient products, per family pair (f, g)
-        pairs = [
-            (f, g, f.rows[:, :, None, None] * n + g.rows, np.outer(f.coef, g.coef)[:, None, :, None])
-            for i, f in enumerate(maps)
-            for g in maps[i:]
-        ]
-        self.__dict__.update(blocks=blocks, families=fams, _maps=maps, _pairs=pairs)  # frozen dataclass
-        self.__dict__.update(_swap=np.concatenate(swap), dim=n, n_constraints=stop)  # X is dim x dim
+        n, d_a, d_b = self.objective.dim, self.d_A, self.d_B
+        if min(d_a, d_b) < 1 or d_a * d_b != n:
+            raise ValueError(f"d_A = {d_a} blocks of size d_B = {d_b} do not partition dimension {n}")
+        # frozen dataclass; X is dim x dim, and _shape cuts it into its blocks [a, j, b, k]
+        self.__dict__.update(dim=n, n_constraints=d_b * d_b, _shape=(d_a, d_b, d_a, d_b), _diag=np.arange(d_a))
 
     def _op(self, x: np.ndarray) -> np.ndarray:
-        """A(X): per family, vec(sum_s c_s X_ss), row-major."""
-        return np.concatenate([f.coef @ x.take(f.flat) for f in self._maps])
+        """A(X) = vec tr_A X, row-major."""
+        return x.reshape(self._shape).trace(axis1=0, axis2=2).ravel()
 
     def _adj(self, y: np.ndarray) -> np.ndarray:
-        """A*(y): per family, c_s Y_f added onto each weighted block."""
-        out = np.zeros(self.dim**2, dtype=complex)
-        for f in self._maps:
-            out[f.flat] += f.coef[:, None] * y[f.y]
+        """A*(y) = id_A (x) Y: Y written onto each of the d_A diagonal blocks."""
+        out = np.zeros(self._shape, dtype=complex)
+        out[self._diag, :, self._diag, :] = y.reshape(self.d_B, self.d_B)
         return out.reshape(self.dim, self.dim)
 
     def _schur(self, w: np.ndarray) -> np.ndarray:
-        """The Hermitian matrix G of y -> A(W A*(y) W) for Hermitian W, one family pair (f, g) at a time.
+        """The Hermitian matrix G of y -> A(W A*(y) W) = tr_A[W (id (x) Y) W] for Hermitian W.
 
-        G_fg[(j,k),(m,n)] = sum_st c_fs c_gt W_st[j,m] W_ts[n,k], a reshuffled sum of
-        kron(W_st, W_ts^T) and so one (d_f d_g, S_f S_g) @ (S_f S_g, d_g d_f)
-        product of the gathered blocks, W_ts being W_st^H; G_gf = G_fg^H.
+        G[(j,k),(m,n)] = sum_st W_st[j,m] W_ts[n,k], a reshuffled sum of kron(W_st, W_ts^T):
+        one (d_B^2, d_A^2) @ (d_A^2, d_B^2) product of W's blocks.
         """
-        h = np.empty((self.n_constraints,) * 2, dtype=complex)
-        for f, g, index, cc in self._pairs:
-            wst = w.take(index)  # [s,j,t,m] = W_st[j,m]
-            nf, df, ng, dg = wst.shape
-            left = (cc * wst).transpose(1, 3, 0, 2).reshape(df * dg, nf * ng)
-            right = wst.conj().transpose(0, 2, 3, 1).reshape(nf * ng, dg * df)
-            kr = (left @ right).reshape(df, dg, dg, df).transpose(0, 3, 1, 2)
-            h[f.y, g.y] = kr.reshape(df * df, dg * dg)
-            h[g.y, f.y] = h[f.y, g.y].conj().T
-        return h
+        w4 = w.reshape(self._shape)  # [s,j,t,m] = W_st[j,m]
+        d_a2, m = self.d_A**2, self.n_constraints
+        left = w4.transpose(1, 3, 0, 2).reshape(m, d_a2)  # [(j,m),(s,t)] = W_st[j,m]
+        right = w4.transpose(2, 0, 1, 3).reshape(d_a2, m)  # [(s,t),(n,k)] = W_ts[n,k]
+        return (left @ right).reshape((self.d_B,) * 4).transpose(0, 3, 1, 2).reshape(m, m)
 
 
 @dataclass(frozen=True, eq=False)
 class SdpSolution:
     """Matched primal/dual certificate returned by solve().
 
-    y_star holds, family by family, the entries of each exactly Hermitian
-    dual matrix Y_f, row-major; dual_value is sum_f tr(R_f Y_f).
+    y_star holds the entries of the exactly Hermitian multiplier Y,
+    row-major; dual_value is tr(Y).
     primal_value is the infeasibility-compensated objective tr(C X) +
     Re <y, b - A(X)>; it coincides with tr(C X) up to rounding whenever
     the constraint residual is at rounding level, and stays an accurate
@@ -243,9 +203,8 @@ def _nt_scaling(lx: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def solve(problem: HermitianSdp, max_iterations: int = 200) -> SdpSolution:
     """Run the interior-point iteration and return a matched certificate.
 
-    The iteration starts from y = 0, Z = ||C||_F I (I if C = 0) and X = tau_p I, the
-    least-squares fit of A(tau I) = b (I/d_A, feasible, on min-entropy data; I if no
-    positive tau fits); the start need not be feasible.  On optimal certificates
+    The iteration starts from y = 0, Z = ||C||_F I (I if C = 0) and the feasible
+    X = I/d_A; the start need not be dual feasible.  On optimal certificates
     the dual value exceeds the primal by at most 1e-9; identical problem
     data yields identical output.  Each step is taken in the NT-scaled frame
     G^-1 X G^-H = G^H Z G = diag(lam): its cone test is one Cholesky of
@@ -266,19 +225,16 @@ def solve(problem: HermitianSdp, max_iterations: int = 200) -> SdpSolution:
     Whatever the status, the last completed iterate is returned as the
     certificate; no LinAlgError from the iteration escapes.
     """
-    n = problem.dim
+    n, d_a, d_b = problem.dim, problem.d_A, problem.d_B
     m = problem.n_constraints
     cmat = problem.objective.mat
-    a_op, a_adj, swap = problem._op, problem._adj, problem._swap
-    b = np.concatenate([r.mat.ravel() for _, r in problem.families])
+    a_op, a_adj = problem._op, problem._adj
+    b = np.eye(d_b, dtype=complex).ravel()
     norm_b = float(np.linalg.norm(b))
     norm_c = float(np.linalg.norm(cmat))
 
-    # tau_p I is the multiple of I closest to A(X) = b: family f maps I to (sum_s c_fs) I_f
-    fams = [(sum(c), r.dim, float(np.trace(r.mat).real)) for c, r in problem.families]
-    num, den = sum(c * t for c, _, t in fams), sum(c * c * d for c, d, _ in fams)
-    tau_p = num / den if num > 0.0 else 1.0  # no positive multiple fits where A(I)'b <= 0
-    x, lx = tau_p * np.eye(n), np.sqrt(tau_p) * np.eye(n)
+    tau = 1.0 / d_a  # tr_A(tau I) = id_B: the start is primal feasible
+    x, lx = tau * np.eye(n), np.sqrt(tau) * np.eye(n)
     z = (norm_c or 1.0) * np.eye(n)
     y = np.zeros(m, dtype=complex)
 
@@ -306,7 +262,7 @@ def solve(problem: HermitianSdp, max_iterations: int = 200) -> SdpSolution:
         if pinf <= DEFAULT_TOL and dinf <= DEFAULT_TOL and relgap <= DEFAULT_TOL and dv <= pv + 1e-9:
             status = STATUS_OPTIMAL
             break
-        if max(np.abs(x).max(), np.abs(z).max(), np.abs(y).max() if m else 0.0) > DIVERGENCE_LIMIT:
+        if max(np.abs(x).max(), np.abs(z).max(), np.abs(y).max()) > DIVERGENCE_LIMIT:
             status = STATUS_INFEASIBLE_SUSPECTED
             break
 
@@ -323,8 +279,8 @@ def solve(problem: HermitianSdp, max_iterations: int = 200) -> SdpSolution:
             np.linalg.cholesky(schur)  # the test that the Schur matrix is positive definite
 
             def solve_schur(rhs: np.ndarray) -> np.ndarray:
-                dy = np.linalg.solve(schur, rhs)
-                return 0.5 * (dy + dy[swap].conj())  # each Y_f exactly Hermitian
+                dy = np.linalg.solve(schur, rhs).reshape(d_b, d_b)
+                return (0.5 * (dy + dy.conj().T)).ravel()  # Y exactly Hermitian
 
             rhs = b + a_op(w @ rd @ w)  # rp - A(-X - W rd W): the predictor's, and the corrector's but one term
 
@@ -335,7 +291,7 @@ def solve(problem: HermitianSdp, max_iterations: int = 200) -> SdpSolution:
             wa = _scaled_eigvalsh(lam, sza)
             ap, ad = _step_length(-1.0 - float(wa[-1])), _step_length(float(wa[0]))
             mu_aff = max(0.0, float(np.vdot(lam_mat + ad * sza, lam_mat + ap * sxa).real)) / n
-            sigma = min(1.0, max(1e-10, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
+            sigma = min(1.0, max(1e-10, (mu_aff / mu) ** CENTERING_EXPONENT)) if mu > 0 else 0.0
 
             # Corrector: sigma*mu Z^-1 - X less the second-order term G[(T + T†) / (lam_i + lam_j)]G†,
             # T = (G^-1 dXa G^-†)(G† dZa G), is G S G† - X as Z^-1 = G diag(1/lam) G†, so the
@@ -380,14 +336,13 @@ def check_certificate(problem: HermitianSdp, solution: SdpSolution) -> Certifica
     x = solution.X_star.mat
     z = solution.Z_star.mat
     y = solution.y_star
-    # every A_(j,k) written out densely: c_s E_kj on each block s of its family, so
-    # tr(A_(j,k) X) = sum_s c_s (X_ss)_jk = R_jk, and y_(j,k) multiplies A_(j,k)^H
-    edges, cons = np.cumsum((0,) + problem.blocks), []
-    for coefs, rhs in problem.families:
-        for j, k in np.ndindex(rhs.dim, rhs.dim):
-            a = np.zeros((problem.dim,) * 2, dtype=complex)
-            a[edges[:-1] + k, edges[:-1] + j] = coefs
-            cons.append((a, rhs.mat[j, k]))
+    # every A_(j,k) written out densely: id_A (x) E_kj, so tr(A_(j,k) X) = (tr_A X)_jk = delta_jk,
+    # and y_(j,k) multiplies A_(j,k)^H
+    starts, cons = problem.d_B * np.arange(problem.d_A), []
+    for j, k in np.ndindex(problem.d_B, problem.d_B):
+        a = np.zeros((problem.dim,) * 2, dtype=complex)
+        a[starts + k, starts + j] = 1.0
+        cons.append((a, float(j == k)))
     residuals = [abs(np.trace(a @ x) - b) for a, b in cons]
     asum = sum(yi * a.conj().T for yi, (a, _) in zip(y, cons))
     dual_res = float(np.max(np.abs(problem.objective.mat - z - asum)))

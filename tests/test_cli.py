@@ -162,7 +162,7 @@ def test_fidmax_rejects_a_mis_sized_or_mixed_target(library, capsys, target, mes
     argv = ["fidmax", "--input", str(library / "random_2x2.json"), "--target", str(library / target)]
     assert run(argv) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith(f"error: {message}")
+    assert captured.out == "" and captured.err.startswith(f"{library / target}: {message}")
 
 
 def test_hmin_on_a_state_whose_last_step_failed_to_factor(tmp_path, capsys):

@@ -236,12 +236,13 @@ class TestNormsAndFidelity:
 
     def test_root_fidelity_keeps_small_genuine_eigenvalues(self):
         # F(|1><1|, sigma) = sqrt(sigma_11); an eigenvalue 1e-13 times the largest is far
-        # above the eigensolver's rounding, while purify's rank rule still drops it
+        # above the eigensolver's rounding, and purify keeps it too
         ket1 = DensityOperator.from_matrix(np.diag([0.0, 1.0]))
         sigma = DensityOperator.from_matrix(np.diag([1.0, 1e-13]) / (1.0 + 1e-13))
         assert root_fidelity(ket1, sigma) == pytest.approx(math.sqrt(1e-13 / (1.0 + 1e-13)), rel=1e-12)
         assert root_fidelity(sigma, ket1) == pytest.approx(math.sqrt(1e-13 / (1.0 + 1e-13)), rel=1e-12)
-        assert purify(sigma).dim == 2
+        amp = purify(sigma).amplitudes.reshape(2, 2)
+        assert np.max(np.abs(amp @ amp.conj().T - sigma.mat)) <= 1e-16
 
     def test_root_fidelity_symmetry_and_identity_of_equals(self):
         for seed in range(4):

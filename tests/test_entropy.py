@@ -169,6 +169,18 @@ class TestMaxEntropy:
         state = random_state(2, 2, seed=7)
         assert max_entropy(state).value_bits <= math.log2(2) + 1e-7
 
+    @pytest.mark.parametrize("a", [9.9e-13, 1e-13, 1e-14])
+    def test_small_eigenvalues_keep_their_square_root_weight(self, a):
+        # rho_A = rho_B = diag(1, a) / (1 + a): H_max = 2 log2 tr sqrt(rho_A) is about
+        # 2.9e-6 bits at a = 9.9e-13, and purifying on the eigenvalues above 1e-12 of
+        # the largest alone gave -3.6e-10 bits and a decoupling accuracy of exactly 1
+        marginal = np.diag([1.0, a]) / (1.0 + a)
+        state = BipartiteState(DensityOperator.from_matrix(np.kron(marginal, marginal)), 2, 2)
+        want = closed_form_entropies(state, "product")[1]
+        assert want > 2.8e-7
+        assert max_entropy(state).value_bits == pytest.approx(want, abs=1e-8)
+        assert math.log2(decoupling_accuracy(state)[0]) == pytest.approx(want, abs=1e-8)
+
 
 class TestGuessingProbability:
     def test_uniform_indistinguishable(self):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -19,6 +20,7 @@ from minmaxent import (
     random_density,
     root_fidelity,
     sampled_singlet_fraction,
+    sdp,
     singlet_fraction,
 )
 
@@ -257,6 +259,27 @@ class TestFidelitySdp:
         ket0 = DensityOperator.from_matrix(np.diag([1.0, 0.0]))
         ketp = DensityOperator.from_matrix(np.full((2, 2), 0.5))
         assert fidelity_sdp(ket0, ketp) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-7)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_rank_deficient_rho_and_singular_omega(self, d):
+        # a singular omega is presolved onto its support, where max_target_fidelity's
+        # target vec sqrt(omega) has full Schmidt rank
+        for rank_rho, rank_omega in itertools.product(range(1, d + 1), repeat=2):
+            rho = random_density(d, 100 * d + rank_rho, rank=rank_rho)
+            omega = random_density(d, 200 * d + rank_omega, rank=rank_omega)
+            assert fidelity_sdp(rho, omega) == pytest.approx(root_fidelity(rho, omega), abs=1e-7)
+
+    def test_orthogonal_supports(self):
+        ket0 = DensityOperator.from_matrix(np.diag([1.0, 0.0, 0.0]))
+        omega = DensityOperator.from_matrix(np.diag([0.0, 0.5, 0.5]))
+        assert fidelity_sdp(ket0, omega) == 0.0
+
+    def test_one_min_entropy_solve_on_the_support_of_omega(self, monkeypatch):
+        # psi purifies P rho P on the rank-2 support of omega, over an ancilla of its rank 2
+        solve, problems = sdp.solve, []
+        monkeypatch.setattr(sdp, "solve", lambda p: problems.append(p) or solve(p))
+        fidelity_sdp(random_density(3, 5), random_density(3, 6, rank=2))
+        assert [(p.d_A, p.d_B) for p in problems] == [(2, 2)]
 
 
 class TestRandomChannels:

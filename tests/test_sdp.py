@@ -25,7 +25,6 @@ from minmaxent import (
 )
 from minmaxent.core import _eigh
 from minmaxent.entropy import _min_entropy_problem
-from minmaxent.oracles import _fidelity_problem
 from minmaxent.verify import _ensembles
 
 from conftest import lower_triangle_fails, random_state
@@ -38,18 +37,18 @@ def herm(mat) -> HermitianOperator:
 
 
 def domination_problem(rho: np.ndarray) -> HermitianSdp:
-    """min tr(sigma) s.t. sigma >= rho, as diag(sigma, slack) with slack = sigma - rho."""
-    d = rho.shape[0]
-    cmat = scipy.linalg.block_diag(np.eye(d), np.zeros((d, d)))
-    return HermitianSdp(herm(cmat), (d, d), (((-1.0, 1.0), herm(-rho)),))
+    """min tr(sigma) s.t. sigma >= rho: the d_A = 1 min-entropy SDP (X = id), its multiplier Y = -sigma."""
+    return HermitianSdp(herm(-rho), 1, rho.shape[0])
+
+
+def hmin_problem(seed: int) -> HermitianSdp:
+    """The 2x3 min-entropy SDP of a full-rank state."""
+    return _min_entropy_problem(random_density(6, seed).mat, 2, 3)
 
 
 def double_domination_problem(m1: np.ndarray, m2: np.ndarray) -> HermitianSdp:
-    """min tr(sigma) s.t. sigma >= m1 and sigma >= m2 (two slack blocks)."""
-    d = m1.shape[0]
-    cmat = scipy.linalg.block_diag(np.eye(d), np.zeros((2 * d, 2 * d)))
-    families = (((-1.0, 1.0, 0.0), herm(-m1)), ((-1.0, 0.0, 1.0), herm(-m2)))
-    return HermitianSdp(herm(cmat), (d, d, d), families)
+    """min tr(sigma) s.t. sigma >= m1 and sigma >= m2, as id_2 (x) sigma >= m1 (+) m2."""
+    return HermitianSdp(herm(-scipy.linalg.block_diag(m1, m2)), 2, m1.shape[0])
 
 
 def grid_search_double_domination(m1: np.ndarray, m2: np.ndarray) -> float:
@@ -91,19 +90,18 @@ def cq_ensemble(seed: int) -> CqEnsemble:
 
 class TestSolve:
     def test_scalar_bound(self):
-        # min x s.t. x >= 3, slack block keeps the cone one-dimensional
-        p = HermitianSdp(herm(np.diag([1.0, 0.0])), (1, 1), (((1.0, -1.0), herm([[3.0]])),))
-        sol = solve(p)
+        # min s s.t. s >= 3: the 1 x 1 min-entropy SDP max{3 x : x = 1}, its multiplier -s
+        sol = solve(domination_problem(np.array([[3.0]])))
         assert sol.status == "optimal"
-        assert sol.primal_value == pytest.approx(3.0, abs=1e-7)
-        assert sol.X_star.mat[0, 0].real == pytest.approx(3.0, abs=1e-6)
+        assert sol.primal_value == pytest.approx(-3.0, abs=1e-7)
+        assert -sol.y_star[0].real == pytest.approx(3.0, abs=1e-6)
 
     def test_domination_by_psd_matrix(self):
         rho = random_density(3, 7).mat
         sol = solve(domination_problem(rho))
         assert sol.status == "optimal"
-        assert sol.primal_value == pytest.approx(1.0, abs=1e-7)
-        assert np.max(np.abs(sol.X_star.mat[:3, :3] - rho)) <= 1e-6
+        assert sol.primal_value == pytest.approx(-1.0, abs=1e-7)
+        assert np.max(np.abs(-sol.y_star.reshape(3, 3) - rho)) <= 1e-6
 
     def test_double_domination_matches_grid_search(self):
         m1 = np.diag([0.7, 0.2]).astype(complex)
@@ -111,20 +109,20 @@ class TestSolve:
         sol = solve(double_domination_problem(m1, m2))
         assert sol.status == "optimal"
         oracle = grid_search_double_domination(m1, m2)
-        assert sol.primal_value == pytest.approx(oracle, abs=1e-4)
+        assert -sol.primal_value == pytest.approx(oracle, abs=1e-4)
         # closed form for two 2x2 constraints: tr(m2) + tr of positive part
         w = np.linalg.eigvalsh(m1 - m2)
         closed = float(np.trace(m2).real + np.sum(w[w > 0]))
-        assert sol.primal_value == pytest.approx(closed, abs=1e-7)
+        assert -sol.primal_value == pytest.approx(closed, abs=1e-7)
 
     def test_two_by_two_domination_from_default_start(self):
         sol = solve(domination_problem(random_density(2, 8).mat))
         assert sol.status == "optimal"
-        assert sol.primal_value == pytest.approx(1.0, abs=1e-7)
+        assert sol.primal_value == pytest.approx(-1.0, abs=1e-7)
 
     def test_weak_duality_and_certificate_invariants(self):
         for seed in range(6):
-            sol = solve(domination_problem(random_density(3, 100 + seed).mat))
+            sol = solve(hmin_problem(100 + seed))
             assert sol.status == "optimal"
             assert sol.dual_value <= sol.primal_value + 1e-9
             assert abs(sol.gap) <= 1e-7 * (1.0 + abs(sol.primal_value))
@@ -132,16 +130,15 @@ class TestSolve:
             assert np.linalg.eigvalsh(sol.Z_star.mat)[0] >= -1e-7
 
     def test_determinism(self):
-        p = domination_problem(random_density(3, 9).mat)
+        p = hmin_problem(9)
         a, b = solve(p), solve(p)
         assert a.X_star.mat.tobytes() == b.X_star.mat.tobytes()
         assert a.y_star.tobytes() == b.y_star.tobytes()
         assert a.primal_value == b.primal_value
 
     def test_scale_covariance(self):
-        rho = random_density(3, 10).mat
-        p1 = domination_problem(rho)
-        scaled = HermitianSdp(herm(3.5 * p1.objective.mat), p1.blocks, p1.families)
+        p1 = hmin_problem(10)
+        scaled = HermitianSdp(herm(3.5 * p1.objective.mat), p1.d_A, p1.d_B)
         v1 = solve(p1).primal_value
         v2 = solve(scaled).primal_value
         assert v2 == pytest.approx(3.5 * v1, rel=1e-7)
@@ -180,36 +177,31 @@ class TestSolve:
             assert min(cert.min_eig_X, cert.min_eig_Z) >= -1e-9
 
     def test_max_iterations_status(self):
-        sol = solve(domination_problem(random_density(3, 11).mat), max_iterations=2)
+        sol = solve(hmin_problem(11), max_iterations=2)
         assert sol.status == "max_iterations"
 
     def test_weak_duality_holds_for_every_status(self):
-        p = domination_problem(random_density(3, 15).mat)
+        p = hmin_problem(15)
         for cap in (1, 3, 5, 200):
             sol = solve(p, max_iterations=cap)
             assert sol.dual_value <= sol.primal_value + 1e-9
 
     def test_infeasible_detected(self):
-        # tr(X e11) = -1 is impossible for X >= 0, dual ray diverges
-        p = HermitianSdp(herm(np.eye(2)), (1, 1), (((1.0, 0.0), herm([[-1.0]])),))
-        sol = solve(p)
-        assert sol.status == "infeasible_suspected"
-
-    def test_linearly_dependent_constraints_rejected(self):
-        # two families on one block with proportional coefficients
-        families = (((1.0,), herm(np.eye(2))), ((2.0,), herm(2.0 * np.eye(2))))
-        with pytest.raises(ValueError, match="dependent"):
-            HermitianSdp(herm(np.eye(2)), (2,), families)
+        # both sides of the min-entropy SDP are strictly feasible (X = I/d_A, and
+        # Y = -t id_B with t > lmax(C)), so the status can only report iterates past
+        # DIVERGENCE_LIMIT: here Z starts at ||C||_F I, beyond it
+        sol = solve(HermitianSdp(herm(-1e13 * random_density(6, 17).mat), 2, 3))
+        assert sol.status == "infeasible_suspected" and sol.iterations == 1
 
     def test_dimension_mismatch_rejected(self):
-        # block sizes that do not sum to the dimension of the objective
+        # d_A blocks of size d_B that do not partition the dimension of the objective
         with pytest.raises(ValueError, match="partition"):
-            HermitianSdp(herm(np.eye(2)), (3,), (((1.0,), herm(np.eye(3))),))
+            HermitianSdp(herm(np.eye(2)), 3, 1)
 
 
 class TestCertificate:
     def test_clean_solution_has_small_residuals(self):
-        p = domination_problem(random_density(3, 12).mat)
+        p = hmin_problem(12)
         report = check_certificate(p, solve(p))
         assert report.constraint_residual <= 1e-7
         assert report.dual_residual <= 1e-7
@@ -219,7 +211,7 @@ class TestCertificate:
         assert report.value_mismatch <= 1e-9
 
     def test_corrupted_primal_is_flagged(self):
-        p = domination_problem(random_density(3, 13).mat)
+        p = hmin_problem(13)
         sol = solve(p)
         bad = sol.X_star.mat.copy()
         bad[0, 0] += 0.1
@@ -237,7 +229,7 @@ class TestCertificate:
         assert report.constraint_residual > 1e-3
 
     def test_injected_duality_violation_is_flagged(self):
-        p = domination_problem(random_density(3, 14).mat)
+        p = hmin_problem(14)
         sol = solve(p)
         forged = SdpSolution(
             X_star=sol.X_star,
@@ -255,15 +247,14 @@ class TestCertificate:
 
 BUILDERS = {
     "min_entropy_kron": lambda: _min_entropy_problem(random_density(6, 31).mat, 3, 2),
+    "min_entropy_2x3": lambda: _min_entropy_problem(random_density(6, 32, rank=4).mat, 2, 3),
+    "min_entropy_3x3": lambda: _min_entropy_problem(random_density(9, 33, rank=3).mat, 3, 3),
     "guessing_block_diagonal": lambda: _min_entropy_problem(
         cq_to_density(
             CqEnsemble(np.array([0.5, 0.3, 0.2]), tuple(random_density(2, 30 + x) for x in range(3)))
         ).mat,
         3,
         2,
-    ),
-    "fidelity_two_block": lambda: _fidelity_problem(
-        random_density(4, 32, rank=3).mat, random_density(4, 33).mat
     ),
     "domination": lambda: domination_problem(random_density(3, 34).mat),
     "double_domination": lambda: double_domination_problem(
@@ -274,19 +265,17 @@ BUILDERS = {
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 class TestConstraintCoords:
-    """The block-family map, entry by entry, against the dense constraint matrices."""
+    """The partial-trace map, entry by entry, against the dense constraint matrices."""
 
     @staticmethod
     def dense(name: str) -> tuple[HermitianSdp, np.ndarray]:
-        # A_(j,k) = block_diag(c_1 E_kj, ..., c_S E_kj) for family (c, rhs): tr(A_(j,k) X) = sum_s c_s (X_ss)_jk
+        # A_(j,k) = id_A (x) E_kj: tr(A_(j,k) X) = (tr_A X)_jk
         p = BUILDERS[name]()
         amats = []
-        for coefs, rhs in p.families:
-            for j, k in itertools.product(range(rhs.dim), repeat=2):
-                e_kj = np.zeros((rhs.dim, rhs.dim))
-                e_kj[k, j] = 1.0
-                blocks = (c * e_kj if c else np.zeros((d, d)) for c, d in zip(coefs, p.blocks))
-                amats.append(scipy.linalg.block_diag(*blocks))
+        for j, k in itertools.product(range(p.d_B), repeat=2):
+            e_kj = np.zeros((p.d_B, p.d_B))
+            e_kj[k, j] = 1.0
+            amats.append(np.kron(np.eye(p.d_A), e_kj))
         return p, np.stack(amats).astype(complex)
 
     @staticmethod
@@ -319,14 +308,12 @@ class TestConstraintCoords:
         assert abs(np.vdot(y, ax) - np.vdot(aty, x)) <= 1e-12 * (1.0 + abs(np.vdot(y, ax)))
 
     def test_each_dual_block_is_exactly_hermitian(self, name):
-        # y_star holds each family's multiplier Y_f row-major, family by family
+        # y_star holds the multiplier Y row-major
         p = BUILDERS[name]()
         sol = solve(p)
         assert sol.status == "optimal" and sol.y_star.shape == (p.n_constraints,)
-        offsets = np.cumsum([0] + [rhs.dim**2 for _, rhs in p.families])
-        for (_, rhs), lo, hi in zip(p.families, offsets, offsets[1:]):
-            y_f = sol.y_star[lo:hi].reshape(rhs.dim, rhs.dim)
-            assert np.array_equal(y_f, y_f.conj().T)
+        y = sol.y_star.reshape(p.d_B, p.d_B)
+        assert np.array_equal(y, y.conj().T)
 
 
 class TestMaxStep:
@@ -371,7 +358,7 @@ class TestMaxStep:
         # in a solve, the first step short of the full one overshoots alike
         step_estimate = sdp._step_estimate
         monkeypatch.setattr(sdp, "_step_estimate", lambda lam, s: step_estimate(50.0 * lam, s))
-        sol = solve(domination_problem(random_density(3, 16).mat))
+        sol = solve(hmin_problem(16))
         assert sol.status == "numerical_failure"
         assert np.all(np.isfinite(sol.X_star.mat)) and np.all(np.isfinite(sol.Z_star.mat))
 
@@ -562,10 +549,11 @@ class TestCorrector:
 
     def test_iteration_counts(self):
         # without the second-order term these solves take 21 and 10
-        # iterations, with it 15 and 9, and from the least-squares start with
-        # STEP_FRACTION 0.97, 12 and 8 (OpenBLAS 0.3.31, one or two threads)
+        # iterations, with it 15 and 9, from the feasible start with
+        # STEP_FRACTION 0.97, 12 and 8, and with CENTERING_EXPONENT 1.25 (3
+        # before), 11 and 8 (OpenBLAS 0.3.31, one or two threads)
         crit8 = cq_to_density(_ensembles(0, 20)[19])  # criterion 8, seed 0, trial 19
-        assert max_entropy(crit8).certificate.iterations <= 13
+        assert max_entropy(crit8).certificate.iterations <= 12
         phi = np.zeros(4)
         phi[[0, 3]] = 2**-0.5
         phi2 = BipartiteState(DensityOperator.from_matrix(np.outer(phi, phi)), 2, 2)
@@ -629,7 +617,7 @@ class TestEigenFallback:
                 _eigh(np.eye(3), vectors=vectors)
 
     def test_solve_reports_numerical_failure(self, monkeypatch):
-        p = domination_problem(random_density(3, 16).mat)
+        p = hmin_problem(16)
         _fail_every_eigh_route(monkeypatch)
         monkeypatch.setattr(np.linalg, "eigvalsh", _raise_linalg)
         sol = solve(p)
@@ -640,7 +628,7 @@ class TestEigenFallback:
         assert np.isfinite(sol.primal_value) and np.isfinite(sol.dual_value)
 
     def test_failure_mid_run_keeps_the_last_iterate(self, monkeypatch):
-        p = domination_problem(random_density(3, 16).mat)
+        p = hmin_problem(16)
         capped = solve(p, max_iterations=3)
         numpy_eigh = np.linalg.eigh
         calls = []
@@ -662,7 +650,7 @@ class TestEigenFallback:
         assert sol.dual_value == capped.dual_value
 
     def test_cholesky_failure_is_a_numerical_failure(self, monkeypatch):
-        p = domination_problem(random_density(3, 16).mat)
+        p = hmin_problem(16)
         monkeypatch.setattr(np.linalg, "cholesky", _raise_linalg)
         sol = solve(p)
         assert sol.status == "numerical_failure"
@@ -693,7 +681,7 @@ class TestEigenFallback:
 
     def test_non_finite_newton_direction_is_a_numerical_failure(self, monkeypatch):
         # a NaN Schur matrix reaches LAPACK, which reports the failure
-        p = domination_problem(random_density(3, 16).mat)
+        p = hmin_problem(16)
         schur = HermitianSdp._schur
         calls = []
 
