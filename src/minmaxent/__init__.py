@@ -8,7 +8,7 @@ the decoupling accuracy.  A built-in verification suite checks every
 identity against independent oracles.
 """
 
-from .channels import ChoiMatrix, MapClass, adjoint_channel, apply_channel, classify, identity_choi
+from .channels import ChoiMatrix, adjoint_channel
 from .core import (
     BipartiteState,
     CqEnsemble,
@@ -17,15 +17,12 @@ from .core import (
     PureState,
     StateFormatError,
     cq_to_density,
-    eig_hermitian,
     ensemble_from_json,
     ensemble_to_json,
     hermitian_basis,
     load_ensemble,
     load_state,
-    matrix_function,
     maximally_entangled,
-    partial_trace,
     purify,
     random_density,
     root_fidelity,
@@ -33,8 +30,6 @@ from .core import (
     save_state,
     state_from_json,
     state_to_json,
-    tensor_product,
-    trace_norm,
 )
 from .entropy import (
     EntropyReport,
@@ -48,7 +43,6 @@ from .entropy import (
     max_relative_entropy,
     max_target_fidelity,
     min_entropy,
-    report_to_json,
     singlet_fraction,
 )
 from .oracles import (
@@ -56,8 +50,6 @@ from .oracles import (
     fidelity_sdp,
     helstrom_guess_probability,
     min_entropy_direct_search,
-    random_cptp_choi,
-    sampled_singlet_fraction,
     sampled_target_fidelity,
 )
 from .sdp import (
@@ -80,7 +72,6 @@ __all__ = [
     "EntropyReport",
     "HermitianOperator",
     "HermitianSdp",
-    "MapClass",
     "OracleReport",
     "PureState",
     "RecoveryCertificate",
@@ -88,38 +79,29 @@ __all__ = [
     "SolverError",
     "StateFormatError",
     "adjoint_channel",
-    "apply_channel",
     "check_certificate",
-    "classify",
     "closed_form_entropies",
     "cq_to_density",
     "decoupling_accuracy",
-    "eig_hermitian",
     "ensemble_from_json",
     "ensemble_to_json",
     "fidelity_sdp",
     "guessing_probability",
     "helstrom_guess_probability",
     "hermitian_basis",
-    "identity_choi",
     "key_secrecy",
     "key_secrecy_block",
     "load_ensemble",
     "load_state",
-    "matrix_function",
     "max_entropy",
     "max_relative_entropy",
     "max_target_fidelity",
     "maximally_entangled",
     "min_entropy",
     "min_entropy_direct_search",
-    "partial_trace",
     "purify",
-    "random_cptp_choi",
-    "report_to_json",
     "random_density",
     "root_fidelity",
-    "sampled_singlet_fraction",
     "sampled_target_fidelity",
     "save_ensemble",
     "save_state",
@@ -127,6 +109,4 @@ __all__ = [
     "solve",
     "state_from_json",
     "state_to_json",
-    "tensor_product",
-    "trace_norm",
 ]

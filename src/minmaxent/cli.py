@@ -41,7 +41,6 @@ from .entropy import (
     max_entropy,
     max_target_fidelity,
     min_entropy,
-    report_to_json,
     singlet_fraction,
 )
 from .sdp import SolverError
@@ -69,11 +68,21 @@ _INPUTS = {
 
 
 def _entropy(rep: EntropyReport, sign: float) -> dict:
-    """An entropy report led by its bits and its value 2^(sign * bits)."""
-    fields = json.loads(report_to_json(rep))
-    value = 2.0 ** (sign * rep.value_bits)
-    # keys repeated from the report keep their first position
-    return {"quantity": rep.quantity, "value_bits": rep.value_bits, "value": value, **fields}
+    """An entropy report led by its bits and its value 2^(sign * bits).
+
+    primal_value is the sigma-side bound tr(sigma) and dual_value the
+    E-side bound tr(rho E), the min{tr sigma : id (x) sigma >= rho} view.
+    """
+    sol = rep.certificate
+    return {
+        "quantity": rep.quantity,
+        "value_bits": rep.value_bits,
+        "value": 2.0 ** (sign * rep.value_bits),
+        "gap": rep.gap,
+        "primal_value": -sol.dual_value,
+        "dual_value": -sol.primal_value,
+        "status": sol.status,
+    }
 
 
 def _bits(quantity: str, value: float, sign: float) -> dict:

@@ -22,11 +22,6 @@ __all__ = [
     "CqEnsemble",
     "PureState",
     "StateFormatError",
-    "tensor_product",
-    "partial_trace",
-    "eig_hermitian",
-    "matrix_function",
-    "trace_norm",
     "root_fidelity",
     "purify",
     "maximally_entangled",
@@ -44,17 +39,11 @@ __all__ = [
 ]
 
 # Construction tolerances.  Eigenvalues below -PSD_ATOL fail positivity
-# checks.  RANK_RTOL, relative to the largest eigenvalue, is only
-# matrix_function's pseudo-inverse cutoff: supports (purify, root_fidelity,
-# max_relative_entropy) drop only eigenvalues at the eigensolver's rounding
-# level, 10 d eps of the largest (_psd_factor), since a fidelity is only
-# 1/2-Hoelder in the state and a dropped eigenvalue delta moves it by about
-# sqrt(delta).
+# checks.
 HERMITICITY_ATOL = 1e-10
 PSD_ATOL = 1e-9
 TRACE_ATOL = 1e-9
 NORM_ATOL = 1e-10
-RANK_RTOL = 1e-12
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -221,11 +210,6 @@ class PureState:
         return HermitianOperator(np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
-def tensor_product(x: HermitianOperator, y: HermitianOperator) -> HermitianOperator:
-    """Kronecker product with A-major indexing: entry ((a,b),(a',b')) = x[a,a'] y[b,b']."""
-    return HermitianOperator(np.kron(x.mat, y.mat))
-
-
 def _partial_trace_mat(mat: np.ndarray, d_A: int, d_B: int, keep: str) -> np.ndarray:
     t = mat.reshape(d_A, d_B, d_A, d_B)
     if keep == "A":
@@ -235,53 +219,13 @@ def _partial_trace_mat(mat: np.ndarray, d_A: int, d_B: int, keep: str) -> np.nda
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
-def partial_trace(m: HermitianOperator, d_A: int, d_B: int, keep: str) -> HermitianOperator:
-    """Trace out one subsystem: keep='A' returns tr_B(m), keep='B' returns tr_A(m)."""
-    if m.dim != d_A * d_B:
-        raise ValueError(f"operator dimension {m.dim} != d_A*d_B = {d_A * d_B}")
-    return HermitianOperator(_partial_trace_mat(m.mat, d_A, d_B, keep))
-
-
-def eig_hermitian(m: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral decomposition m = V diag(w) V† with eigenvalues descending.
-
-    Raises numpy.linalg.LinAlgError if the eigensolver fails on both
-    triangles, which signals numerically pathological input.
-    """
-    w, v = _eigh(m.mat)
-    return w[::-1].copy(), v[:, ::-1].copy()
-
-
-def matrix_function(m: HermitianOperator, f: str) -> HermitianOperator:
-    """Apply sqrt, pinv_sqrt or abs to the eigenvalues in the eigenbasis.
-
-    pinv_sqrt follows the pseudo-inverse convention: eigenvalues below
-    RANK_RTOL times the largest are mapped to zero.
-    """
-    w, v = _eigh(m.mat)
-    if f in ("sqrt", "pinv_sqrt"):
-        if w[0] < -PSD_ATOL:
-            raise ValueError(f"matrix has eigenvalue {w[0]:.3e} < -{PSD_ATOL}, cannot take {f}")
-        w = np.clip(w, 0.0, None)
-        if f == "sqrt":
-            fw = np.sqrt(w)
-        else:
-            cutoff = RANK_RTOL * (w[-1] if w[-1] > 0 else 1.0)
-            fw = np.where(w > cutoff, 1.0 / np.sqrt(np.where(w > cutoff, w, 1.0)), 0.0)
-    elif f == "abs":
-        fw = np.abs(w)
-    else:
-        raise ValueError(f"unknown matrix function {f!r}")
-    return HermitianOperator((v * fw) @ v.conj().T)
-
-
-def trace_norm(m: HermitianOperator) -> float:
-    """Sum of absolute eigenvalues (Schatten 1-norm of a Hermitian matrix)."""
-    return float(np.sum(np.abs(_eigh(m.mat, vectors=False))))
-
-
 def _support_cut(w: np.ndarray) -> float:
-    """10 d eps times the largest of the d eigenvalues w: above the eigensolver's rounding level."""
+    """10 d eps times the largest of the d eigenvalues w: above the eigensolver's rounding level.
+
+    Every support (purify, root_fidelity, max_relative_entropy) drops only
+    eigenvalues at or below this cut: a fidelity is only 1/2-Hoelder in the
+    state, so a dropped eigenvalue delta would move it by about sqrt(delta).
+    """
     return 10 * len(w) * np.finfo(float).eps * max(float(np.max(w)), 0.0)
 
 

@@ -36,7 +36,6 @@ from .core import (
     HermitianOperator,
     PureState,
     _eigh,
-    _matrix_to_json,
     _partial_trace_mat,
     _root_fidelity_mats,
     _support_cut,
@@ -59,13 +58,11 @@ __all__ = [
     "key_secrecy_block",
     "max_target_fidelity",
     "closed_form_entropies",
-    "report_to_json",
 ]
 
 SUPPORT_LEAK_ATOL = 1e-9
 PRODUCT_ATOL = 1e-9
 PURE_ATOL = 1e-9
-SCHMIDT_ATOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,13 +301,16 @@ def key_secrecy_block(e: CqEnsemble, sigma: DensityOperator) -> float:
 
 
 def max_target_fidelity(state: BipartiteState, target: PureState) -> float:
-    """Best squared fidelity with a full-Schmidt-rank pure target on A (x) A'.
+    """Best squared fidelity with any pure target on A (x) A'.
 
     max_F F((id (x) F)(rho_AB), |Psi><Psi|)^2 over channels F from B to
     A', computed by running the min-entropy SDP on the conjugated
     operator d_A (t^(1/2) (x) id) rho (t^(1/2) (x) id) with t the reduced
-    state of the target on A.  For the maximally entangled target this
-    reduces to singlet_fraction / d_A.
+    state of the target on A.  The target's amplitude matrix is t^(1/2) U
+    by polar decomposition, for a singular t too, and the unitary U on A'
+    is absorbed into the channel, so the target may have any Schmidt rank.
+    For the maximally entangled target this reduces to singlet_fraction /
+    d_A, and for a product target |a>|b> to <a|rho_A|a>.
     """
     d_a, d_b = state.d_A, state.d_B
     if target.dim != d_a * d_a:
@@ -318,8 +318,6 @@ def max_target_fidelity(state: BipartiteState, target: PureState) -> float:
     amp = target.amplitudes.reshape(d_a, d_a)
     tau = amp @ amp.conj().T
     w, v = _eigh(tau)
-    if float(w[0]) <= SCHMIDT_ATOL:
-        raise ValueError("target does not have full Schmidt rank")
     sqrt_tau = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
     conj = np.kron(sqrt_tau, np.eye(d_b))
     rho_tilde = d_a * (conj @ state.mat @ conj)
@@ -354,23 +352,3 @@ def closed_form_entropies(state: BipartiteState, case: str) -> tuple[float, floa
             raise ValueError(f"state is not pure (largest eigenvalue {lam_max!r})")
         return -math.log2(tr_sqrt_a**2), math.log2(lam_max_a)
     raise ValueError(f"case must be 'product' or 'pure', got {case!r}")
-
-
-def report_to_json(report: EntropyReport, include_optimizers: bool = False) -> str:
-    """One-line JSON form of a report; optimizer matrices are optional.
-
-    primal_value is the sigma-side bound tr(sigma) and dual_value the
-    E-side bound tr(rho E), the min{tr sigma : id (x) sigma >= rho} view.
-    """
-    fields = [
-        f'"quantity":"{report.quantity}"',
-        f'"value_bits":{report.value_bits!r}',
-        f'"gap":{report.gap!r}',
-        f'"primal_value":{-report.certificate.dual_value!r}',
-        f'"dual_value":{-report.certificate.primal_value!r}',
-        f'"status":"{report.certificate.status}"',
-    ]
-    if include_optimizers:
-        fields.append(f'"optimizer_sigma":{_matrix_to_json(report.optimizer_sigma.mat)}')
-        fields.append(f'"dual_optimizer":{_matrix_to_json(report.dual_optimizer.op.mat)}')
-    return "{" + ",".join(fields) + "}"

@@ -15,17 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChoiMatrix
 from .core import (
     BipartiteState,
     DensityOperator,
-    HermitianOperator,
     PureState,
     _eigh,
     _partial_trace_mat,
     _psd_factor,
     hermitian_basis,
-    maximally_entangled,
     purify,
 )
 from .entropy import max_target_fidelity
@@ -35,9 +32,7 @@ __all__ = [
     "helstrom_guess_probability",
     "min_entropy_direct_search",
     "sampled_target_fidelity",
-    "sampled_singlet_fraction",
     "fidelity_sdp",
-    "random_cptp_choi",
     "haar_isometry",
 ]
 
@@ -163,15 +158,6 @@ def haar_isometry(d_from: int, d_to: int, rng: np.random.Generator) -> np.ndarra
     return q[:, :d_from]
 
 
-def random_cptp_choi(d_in: int, d_out: int, seed: int, d_env: int | None = None) -> ChoiMatrix:
-    """Choi matrix of a Haar-random channel via isometry plus traced ancilla."""
-    d_e = d_out if d_env is None else d_env
-    rng = np.random.default_rng(seed)
-    v = haar_isometry(d_in, d_out * d_e, rng).reshape(d_out, d_e, d_in)
-    j = np.einsum("oei,pej->iojp", v, v.conj()).reshape(d_in * d_out, d_in * d_out)
-    return ChoiMatrix(HermitianOperator(j), d_in, d_out)
-
-
 def _target_overlap_via_isometry(
     rho: np.ndarray, d_a: int, d_b: int, v: np.ndarray, target: np.ndarray
 ) -> float:
@@ -215,31 +201,21 @@ def sampled_target_fidelity(
     return best
 
 
-def sampled_singlet_fraction(state: BipartiteState, samples: int, seed: int) -> float:
-    """d_A times the best sampled overlap with the maximally entangled state.
-
-    A lower bound on the singlet fraction for every sample count; with the
-    identity baseline it is exact for identity-recoverable states.
-    """
-    if state.d_A > state.d_B:
-        raise ValueError("sampling bound requires d_A <= d_B")
-    phi = maximally_entangled(state.d_A)
-    return state.d_A * sampled_target_fidelity(state, phi, samples, seed)
-
-
 def fidelity_sdp(rho: DensityOperator, omega: DensityOperator) -> float:
     """Root fidelity from Uhlmann's theorem, solved as a min-entropy SDP.
 
     F(rho, omega)^2 is the best overlap of a purification psi of rho, over
     channels on its purifying system, with the purification vec(sqrt(omega))
     of omega (A. Uhlmann, Rep. Math. Phys. 9, 1976): max_target_fidelity(psi
-    psi†, vec sqrt(omega)).  That target needs a full-rank omega, so the pair
-    is first presolved onto the support of omega (eigenvalues at the
-    eigensolver's rounding level count as zero), where F(rho, omega) =
-    F(P rho P, omega) for P its projector; an eigenvalue kept there but
-    below max_target_fidelity's Schmidt bound of 1e-9 raises ValueError.
-    Agrees with the factored formula ||V_rho† V_omega||_1 of root_fidelity
-    to solver accuracy and serves as its independent cross-check.
+    psi†, vec sqrt(omega)), for any omega.  The pair is first presolved onto
+    the support of omega (eigenvalues at the eigensolver's rounding level
+    count as zero), where F(rho, omega) = F(P rho P, omega) for P its
+    projector, for accuracy near F = 0: F is the square root of the solved
+    value, so a solver error of about 1e-10 there would become about 1e-5
+    in F, while a rho orthogonal to the support gives tr(P rho P) = 0 and
+    F = 0 exactly.  Agrees with the factored formula ||V_rho† V_omega||_1
+    of root_fidelity to solver accuracy and serves as its independent
+    cross-check.
     """
     if rho.dim != omega.dim:
         raise ValueError("states must have equal dimensions")

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from minmaxent import BipartiteState, cli, random_density, save_state
+from minmaxent import BipartiteState, cli, load_state, max_entropy, min_entropy, random_density, save_state
 from minmaxent import verify as verify_mod
 from minmaxent.cli import run
 
@@ -47,13 +47,28 @@ def test_hmin_text_output(library, capsys):
 
 
 def test_hmin_hmax_json_bounds(library, capsys):
-    # primal_value is the sigma-side bound tr(sigma), dual_value is tr(rho E)
-    for verb in ("hmin", "hmax"):
-        assert run([verb, "--input", str(library / "random_2x3.json"), "--format", "json"]) == 0
+    # primal_value is the sigma-side bound tr(sigma), dual_value is tr(rho E); every
+    # field is read straight from the report and its certificate
+    state = library / "random_2x3.json"
+    for verb, entropy, sign, quantity in (
+        ("hmin", min_entropy, -1.0, "min_entropy"),
+        ("hmax", max_entropy, 1.0, "max_entropy"),
+    ):
+        assert run([verb, "--input", str(state), "--format", "json"]) == 0
         obj = json.loads(capsys.readouterr().out)
         assert obj["primal_value"] >= obj["dual_value"] - 1e-9
         assert abs(obj["primal_value"] - obj["value"]) <= 1e-7
         assert obj["gap"] == pytest.approx(obj["primal_value"] - obj["dual_value"], abs=1e-12)
+        rep = entropy(load_state(str(state)))
+        assert obj == {
+            "quantity": quantity,
+            "value_bits": rep.value_bits,
+            "value": 2.0 ** (sign * rep.value_bits),
+            "gap": rep.gap,
+            "primal_value": -rep.certificate.dual_value,
+            "dual_value": -rep.certificate.primal_value,
+            "status": "optimal",
+        }
 
 
 def test_pguess_json_output(library, capsys):

@@ -9,7 +9,6 @@ from minmaxent import (
     DensityOperator,
     HermitianOperator,
     PureState,
-    classify,
     closed_form_entropies,
     cq_to_density,
     decoupling_accuracy,
@@ -22,13 +21,12 @@ from minmaxent import (
     maximally_entangled,
     min_entropy,
     random_density,
-    sampled_singlet_fraction,
     sampled_target_fidelity,
     singlet_fraction,
 )
 from minmaxent.verify import _full_rank_target, _pair_state
 
-from conftest import lower_triangle_fails, random_state
+from conftest import channel_flags, lower_triangle_fails, random_state, sampled_singlet_fraction
 
 HELSTROM_VALUE = 0.5 + 0.5 / math.sqrt(2.0)
 
@@ -95,8 +93,8 @@ class TestMinEntropy:
         )
         assert lam == pytest.approx(-rep.value_bits, abs=1e-5)
         # dual optimizer is the Choi matrix of a completely positive unital map
-        flags = classify(rep.dual_optimizer)
-        assert flags.cp and flags.unital
+        cp, _, unital = channel_flags(rep.dual_optimizer)
+        assert cp and unital
         assert rep.dual_optimizer.d_in == 2 and rep.dual_optimizer.d_out == 3
 
     def test_range_bounds(self):
@@ -126,20 +124,6 @@ class TestMinEntropy:
         rep = min_entropy(BipartiteState(random_density(6, 38), 3, 2))
         assert rep.certificate.status == "optimal"
         assert rep.value_bits == pytest.approx(0.5593104458351952, abs=1e-8)
-
-    def test_report_serialization(self):
-        import json as json_mod
-
-        from minmaxent import report_to_json
-
-        rep = min_entropy(random_state(2, 2, seed=41))
-        obj = json_mod.loads(report_to_json(rep))
-        assert obj["quantity"] == "min_entropy"
-        assert obj["status"] == "optimal"
-        assert obj["value_bits"] == rep.value_bits
-        full = json_mod.loads(report_to_json(rep, include_optimizers=True))
-        assert len(full["optimizer_sigma"]) == 2
-        assert len(full["dual_optimizer"]) == 4
 
 
 class TestMaxEntropy:
@@ -222,8 +206,8 @@ class TestSingletFraction:
         value, cert = singlet_fraction(entangled_state(2))
         assert value == pytest.approx(2.0, abs=1e-6)
         assert cert.achieved_overlap == pytest.approx(1.0, abs=1e-6)
-        flags = classify(cert.channel)
-        assert flags.cp and flags.trace_preserving
+        cp, tp, _ = channel_flags(cert.channel)
+        assert cp and tp
 
     def test_product_state(self):
         rho_b = random_density(2, 9)
@@ -241,8 +225,8 @@ class TestSingletFraction:
         for seed in range(4):
             state = random_state(2, 3, seed=50 + seed)
             value, cert = singlet_fraction(state)
-            flags = classify(cert.channel)
-            assert flags.cp and flags.trace_preserving
+            cp, tp, _ = channel_flags(cert.channel)
+            assert cp and tp
             ch = cert.channel
             j = ch.op.mat.reshape(ch.d_in, ch.d_out, ch.d_in, ch.d_out)
             tp_residual = np.max(np.abs(np.einsum("iaja->ij", j) - np.eye(ch.d_in)))
@@ -361,12 +345,18 @@ class TestMaxTargetFidelity:
         sampled = sampled_target_fidelity(state, target, samples=200, seed=20)
         assert sampled <= best + 1e-6
 
-    def test_rank_deficient_target_rejected(self):
-        state = random_state(2, 2, seed=21)
-        amp = np.zeros(4)
-        amp[0] = 1.0
-        with pytest.raises(ValueError, match="Schmidt"):
-            max_target_fidelity(state, PureState(amp))
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_product_target_gives_the_marginal_overlap(self, d):
+        # for |alpha>|beta> the best channel prepares |beta>, so the value is
+        # <alpha|rho_A|alpha>; the target's reduced state has rank 1
+        rng = np.random.default_rng(21 + d)
+        alpha, beta = (rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(2))
+        alpha, beta = alpha / np.linalg.norm(alpha), beta / np.linalg.norm(beta)
+        state = random_state(d, 2, seed=21 + d)
+        rho_a = np.trace(state.mat.reshape(d, 2, d, 2), axis1=1, axis2=3)
+        want = float((alpha.conj() @ rho_a @ alpha).real)
+        got = max_target_fidelity(state, PureState(np.kron(alpha, beta)))
+        assert got == pytest.approx(want, abs=1e-8)
 
 
 class TestClosedForms:

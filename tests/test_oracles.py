@@ -8,7 +8,6 @@ import pytest
 from minmaxent import (
     BipartiteState,
     DensityOperator,
-    classify,
     closed_form_entropies,
     fidelity_sdp,
     helstrom_guess_probability,
@@ -16,15 +15,19 @@ from minmaxent import (
     min_entropy,
     min_entropy_direct_search,
     oracles,
-    random_cptp_choi,
     random_density,
     root_fidelity,
-    sampled_singlet_fraction,
     sdp,
     singlet_fraction,
 )
 
-from conftest import lower_triangle_fails, random_state
+from conftest import (
+    channel_flags,
+    lower_triangle_fails,
+    random_channel,
+    random_state,
+    sampled_singlet_fraction,
+)
 
 
 class TestHelstrom:
@@ -262,14 +265,22 @@ class TestFidelitySdp:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_rank_deficient_rho_and_singular_omega(self, d):
-        # a singular omega is presolved onto its support, where max_target_fidelity's
-        # target vec sqrt(omega) has full Schmidt rank
+        # a singular omega is presolved onto its support, and rho of any rank is purified
         for rank_rho, rank_omega in itertools.product(range(1, d + 1), repeat=2):
             rho = random_density(d, 100 * d + rank_rho, rank=rank_rho)
             omega = random_density(d, 200 * d + rank_omega, rank=rank_omega)
             assert fidelity_sdp(rho, omega) == pytest.approx(root_fidelity(rho, omega), abs=1e-7)
 
+    def test_eigenvalue_far_below_the_largest_is_kept(self):
+        # omega's 1e-11 eigenvalue is above the rounding-level support cut, so the target
+        # vec sqrt(omega) keeps a Schmidt coefficient of about 3e-6
+        omega = DensityOperator.from_matrix(np.diag([1.0, 1e-11]) / (1.0 + 1e-11))
+        for seed in range(3):
+            rho = random_density(2, 300 + seed)
+            assert fidelity_sdp(rho, omega) == pytest.approx(root_fidelity(rho, omega), abs=1e-7)
+
     def test_orthogonal_supports(self):
+        # exactly 0 through the presolve; solved without it, F = sqrt(value) was 1.5e-5
         ket0 = DensityOperator.from_matrix(np.diag([1.0, 0.0, 0.0]))
         omega = DensityOperator.from_matrix(np.diag([0.0, 0.5, 0.5]))
         assert fidelity_sdp(ket0, omega) == 0.0
@@ -283,23 +294,22 @@ class TestFidelitySdp:
 
 
 class TestRandomChannels:
+    # random_channel, built on haar_isometry, draws the channels of the property tests
     def test_choi_is_cptp(self):
         for seed in range(5):
-            flags = classify(random_cptp_choi(2, 3, seed=seed))
-            assert flags.cp and flags.trace_preserving
+            cp, tp, _ = channel_flags(random_channel(2, 3, seed=seed))
+            assert cp and tp
 
     def test_determinism(self):
-        a = random_cptp_choi(2, 2, seed=9).op.mat
-        b = random_cptp_choi(2, 2, seed=9).op.mat
+        a = random_channel(2, 2, seed=9).op.mat
+        b = random_channel(2, 2, seed=9).op.mat
         assert a.tobytes() == b.tobytes()
 
 
-def test_classify_and_helstrom_recover_from_a_lower_triangle_failure(monkeypatch):
-    choi, rho0, rho1 = random_cptp_choi(2, 2, 1), random_density(3, 11), random_density(3, 12)
-    expected, calls = (classify(choi), helstrom_guess_probability(0.3, rho0, rho1)), []
+def test_helstrom_recovers_from_a_lower_triangle_failure(monkeypatch):
+    rho0, rho1 = random_density(3, 11), random_density(3, 12)
+    expected, calls = helstrom_guess_probability(0.3, rho0, rho1), []
     monkeypatch.setattr(np.linalg, "eigh", lower_triangle_fails(np.linalg.eigh, calls))
     monkeypatch.setattr(np.linalg, "eigvalsh", lower_triangle_fails(np.linalg.eigvalsh, calls))
-    flags, value = classify(choi), helstrom_guess_probability(0.3, rho0, rho1)
-    assert flags == expected[0]
-    assert value == pytest.approx(expected[1], abs=1e-12)
+    assert helstrom_guess_probability(0.3, rho0, rho1) == pytest.approx(expected, abs=1e-12)
     assert "U" in calls

@@ -18,7 +18,9 @@ from minmaxent import (
     random_density,
 )
 from minmaxent.entropy import _min_entropy_problem
-from minmaxent.oracles import haar_isometry, random_cptp_choi
+from minmaxent.oracles import haar_isometry
+
+from conftest import random_channel
 
 SETTINGS = settings(max_examples=12, derandomize=True, deadline=None)
 TOL = 1e-7
@@ -59,7 +61,7 @@ def test_local_unitaries_leave_entropies_unchanged(state, seed):
 @given(states(), st.integers(2, 3), st.integers(0, 2**32 - 1))
 def test_a_channel_on_b_does_not_decrease_the_entropies(state, d_out, seed):
     # data processing: H(A|B) <= H(A|B') for B' = N(B), N a random channel
-    choi = random_cptp_choi(state.d_B, d_out, seed)
+    choi = random_channel(state.d_B, d_out, seed)
     j = choi.op.mat.reshape(state.d_B, d_out, state.d_B, d_out)
     r = state.mat.reshape(state.d_A, state.d_B, state.d_A, state.d_B)
     out = np.einsum("abcd,bedf->aecf", r, j).reshape(state.d_A * d_out, -1)
