@@ -125,6 +125,26 @@ class TestMinEntropy:
         assert rep.certificate.status == "optimal"
         assert rep.value_bits == pytest.approx(0.5593104458351952, abs=1e-8)
 
+    def test_report_serialization(self, tmp_path, capsys):
+        # a min-entropy report is serialized by the CLI's hmin JSON; the optimizers
+        # stay on the report, at their sizes, and are not written out
+        import json as json_mod
+
+        from minmaxent import load_state, save_state
+        from minmaxent.cli import run
+
+        path = tmp_path / "state.json"
+        save_state(random_state(2, 2, seed=41), str(path))
+        assert run(["hmin", "--input", str(path), "--format", "json"]) == 0
+        obj = json_mod.loads(capsys.readouterr().out)
+        rep = min_entropy(load_state(str(path)))
+        assert obj["quantity"] == "min_entropy"
+        assert obj["status"] == "optimal"
+        assert obj["value_bits"] == rep.value_bits
+        assert "optimizer_sigma" not in obj and "dual_optimizer" not in obj
+        assert rep.optimizer_sigma.mat.shape == (2, 2)
+        assert rep.dual_optimizer.op.dim == 4
+
 
 class TestMaxEntropy:
     def test_maximally_entangled_qubits(self):
