@@ -19,7 +19,6 @@ from .core import (
     cq_to_density,
     ensemble_from_json,
     ensemble_to_json,
-    hermitian_basis,
     load_ensemble,
     load_state,
     maximally_entangled,
@@ -88,7 +87,6 @@ __all__ = [
     "fidelity_sdp",
     "guessing_probability",
     "helstrom_guess_probability",
-    "hermitian_basis",
     "key_secrecy",
     "key_secrecy_block",
     "load_ensemble",

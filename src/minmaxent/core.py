@@ -27,7 +27,6 @@ __all__ = [
     "maximally_entangled",
     "cq_to_density",
     "random_density",
-    "hermitian_basis",
     "state_to_json",
     "state_from_json",
     "ensemble_to_json",
@@ -312,31 +311,6 @@ def random_density(d: int, seed: int, rank: int | None = None) -> DensityOperato
     return DensityOperator.from_matrix(mat / np.trace(mat).real)
 
 
-def hermitian_basis(d: int) -> np.ndarray:
-    """Orthonormal basis of d x d Hermitian matrices, shape (d*d, d, d).
-
-    Ordering: diagonal units, then real symmetric pairs (i<j row-major),
-    then imaginary antisymmetric pairs; orthonormal under tr(A B).
-    """
-    out = np.zeros((d * d, d, d), dtype=complex)
-    k = 0
-    for i in range(d):
-        out[k, i, i] = 1.0
-        k += 1
-    s = 1.0 / np.sqrt(2.0)
-    for i in range(d):
-        for j in range(i + 1, d):
-            out[k, i, j] = s
-            out[k, j, i] = s
-            k += 1
-    for i in range(d):
-        for j in range(i + 1, d):
-            out[k, i, j] = 1j * s
-            out[k, j, i] = -1j * s
-            k += 1
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Serialization.  State files are UTF-8 JSON; matrices are row-major lists
 # of [re, im] pairs and writers emit 17 significant digits so that values
@@ -358,6 +332,11 @@ def _matrix_to_json(mat: np.ndarray) -> str:
     return "[" + ",".join(rows) + "]"
 
 
+def _is_number(v: object, kinds: type | tuple[type, ...] = (int, float)) -> bool:
+    """A JSON number of the given kinds: true and false parse as bool, which is an int subclass."""
+    return isinstance(v, kinds) and not isinstance(v, bool)
+
+
 def _matrix_from_obj(obj: object, what: str) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise StateFormatError(f"{what}: expected a nonempty list of rows")
@@ -370,7 +349,7 @@ def _matrix_from_obj(obj: object, what: str) -> np.ndarray:
             if (
                 not isinstance(cell, list)
                 or len(cell) != 2
-                or not all(isinstance(v, (int, float)) for v in cell)
+                or not all(_is_number(v) for v in cell)
             ):
                 raise StateFormatError(f"{what}: entry ({i},{j}) must be a [re, im] pair")
             mat[i, j] = complex(cell[0], cell[1])
@@ -393,7 +372,7 @@ def state_from_json(text: str) -> BipartiteState:
         if key not in obj:
             raise StateFormatError(f"missing key {key!r}")
     d_a, d_b = obj["d_A"], obj["d_B"]
-    if not isinstance(d_a, int) or not isinstance(d_b, int):
+    if not _is_number(d_a, int) or not _is_number(d_b, int):
         raise StateFormatError("d_A and d_B must be integers")
     mat = _matrix_from_obj(obj["matrix"], "matrix")
     if mat.shape[0] != d_a * d_b:
@@ -419,7 +398,7 @@ def ensemble_from_json(text: str) -> CqEnsemble:
             raise StateFormatError(f"missing key {key!r}")
     probs = obj["probs"]
     states = obj["states"]
-    if not isinstance(probs, list) or not all(isinstance(p, (int, float)) for p in probs):
+    if not isinstance(probs, list) or not all(_is_number(p) for p in probs):
         raise StateFormatError("probs must be a list of numbers")
     if not isinstance(states, list) or len(states) != len(probs):
         raise StateFormatError("states must be a list matching probs in length")

@@ -37,6 +37,7 @@ from .core import (
     PureState,
     _eigh,
     _partial_trace_mat,
+    _psd_factor,
     _root_fidelity_mats,
     _support_cut,
     cq_to_density,
@@ -125,49 +126,34 @@ def max_relative_entropy(tau: HermitianOperator, tau_prime: HermitianOperator) -
     return math.log2(lam_max)
 
 
-def _require_optimal(sol: SdpSolution, what: str) -> None:
-    if sol.status != sdp.STATUS_OPTIMAL:
-        raise SolverError(f"{what}: solver stopped with status {sol.status}", sol)
-
-
 def _min_entropy_problem(rho: np.ndarray, d_a: int, d_b: int) -> sdp.HermitianSdp:
     """min tr(-rho E) s.t. tr_A E = id_B."""
     return sdp.HermitianSdp(HermitianOperator(-rho), d_a, d_b)
 
 
-def _solve_min_entropy_operator(
-    rho: np.ndarray, d_a: int, d_b: int
-) -> tuple[SdpSolution, np.ndarray, np.ndarray]:
-    """Run max{tr(rho E) : E >= 0, tr_A E = id_B} for a PSD operator rho.
+def _hmin_report(quantity: str, rho: np.ndarray, d_a: int, d_b: int) -> EntropyReport:
+    """The report of max{tr(rho E) : E >= 0, tr_A E = id_B} for a PSD operator rho.
 
-    Returns the solution, the optimal sigma and the optimizer E.  The SDP
-    is the solver's primal with X = E and C = -rho, so primal_value =
-    -tr(rho E) and dual_value = -tr(sigma), where sigma = -Y, Y its
-    multiplier, satisfies id (x) sigma >= rho.  E is made to
-    satisfy tr_A E = id_B exactly by the congruence with id (x) T^(-1/2),
-    T = tr_A E, which keeps it positive semidefinite.
+    Raises SolverError unless the solve ends optimal.  The SDP is the
+    solver's primal with X = E and C = -rho, so primal_value = -tr(rho E)
+    and dual_value = -tr(sigma), where sigma = -Y, Y its multiplier,
+    satisfies id (x) sigma >= rho; value_bits is -log2 tr(sigma).  E is
+    made to satisfy tr_A E = id_B exactly by the congruence with
+    id (x) T^(-1/2), T = tr_A E, which keeps it positive semidefinite.
     """
     sol = sdp.solve(_min_entropy_problem(rho, d_a, d_b))
-    _require_optimal(sol, "min-entropy SDP")
-
+    if sol.status != sdp.STATUS_OPTIMAL:
+        raise SolverError(f"min-entropy SDP: solver stopped with status {sol.status}", sol)
     sigma = -sol.y_star.reshape(d_b, d_b)
     e_ab = sol.X_star.mat
     w, v = _eigh(_partial_trace_mat(e_ab, d_a, d_b, "B"))
     fix = np.kron(np.eye(d_a), (v * w**-0.5) @ v.conj().T)
-    e_ab = fix @ e_ab @ fix
-    return sol, sigma, 0.5 * (e_ab + e_ab.conj().T)
-
-
-def _report_from_hmin(
-    quantity: str, sol: SdpSolution, sigma: np.ndarray, e_ab: np.ndarray, d_a: int, d_b: int
-) -> EntropyReport:
-    sigma_norm = sigma / float(np.trace(sigma).real)
     return EntropyReport(
         quantity=quantity,
         value_bits=-math.log2(-sol.dual_value),
         certificate=sol,
-        optimizer_sigma=DensityOperator.from_matrix(sigma_norm),
-        dual_optimizer=ChoiMatrix(HermitianOperator(e_ab), d_a, d_b),
+        optimizer_sigma=DensityOperator.from_matrix(sigma / float(np.trace(sigma).real)),
+        dual_optimizer=ChoiMatrix(HermitianOperator(fix @ e_ab @ fix), d_a, d_b),
         gap=sol.gap,
     )
 
@@ -178,8 +164,7 @@ def min_entropy(state: BipartiteState) -> EntropyReport:
     value_bits = -log2 tr(sigma) at the optimum; the report carries the
     normalized optimal sigma and the optimizer E with tr_A E = id_B.
     """
-    sol, sigma, e_ab = _solve_min_entropy_operator(state.mat, state.d_A, state.d_B)
-    return _report_from_hmin("min_entropy", sol, sigma, e_ab, state.d_A, state.d_B)
+    return _hmin_report("min_entropy", state.mat, state.d_A, state.d_B)
 
 
 def max_entropy(state: BipartiteState) -> EntropyReport:
@@ -198,8 +183,7 @@ def _max_entropy_purified(state: BipartiteState) -> tuple[EntropyReport, np.ndar
     amp = purify(state.rho).amplitudes.reshape(d_a, state.d_B, -1)
     d_c = amp.shape[2]
     rho_ac = np.einsum("abc,dbe->acde", amp, amp.conj()).reshape(d_a * d_c, d_a * d_c)
-    sol, sigma, e_ac = _solve_min_entropy_operator(0.5 * (rho_ac + rho_ac.conj().T), d_a, d_c)
-    inner = _report_from_hmin("max_entropy", sol, sigma, e_ac, d_a, d_c)
+    inner = _hmin_report("max_entropy", rho_ac, d_a, d_c)
     return replace(inner, value_bits=-inner.value_bits), amp
 
 
@@ -212,12 +196,13 @@ def guessing_probability(e: CqEnsemble) -> tuple[float, list[HermitianOperator]]
     tr_X E = id_B makes them sum to id_B.
     """
     k, d_b = e.n_outcomes, e.d_B
-    sol, _, e_xb = _solve_min_entropy_operator(cq_to_density(e).mat, k, d_b)
+    rep = _hmin_report("guessing_probability", cq_to_density(e).mat, k, d_b)
+    e_xb = rep.dual_optimizer.op.mat
     povm = [
         HermitianOperator(e_xb[x * d_b : (x + 1) * d_b, x * d_b : (x + 1) * d_b])
         for x in range(k)
     ]
-    return -sol.dual_value, povm
+    return -rep.certificate.dual_value, povm
 
 
 def _apply_on_second(j: ChoiMatrix, rho_ab: np.ndarray, d_a: int) -> np.ndarray:
@@ -237,12 +222,12 @@ def singlet_fraction(state: BipartiteState) -> tuple[float, RecoveryCertificate]
     certificate's achieved overlap is recomputed by applying the channel.
     """
     d_a = state.d_A
-    sol, _, e_ab = _solve_min_entropy_operator(state.mat, d_a, state.d_B)
-    recovery = adjoint_channel(ChoiMatrix(HermitianOperator(e_ab), d_a, state.d_B))
+    rep = _hmin_report("singlet_fraction", state.mat, d_a, state.d_B)
+    recovery = adjoint_channel(rep.dual_optimizer)
     out = _apply_on_second(recovery, state.mat, d_a)
     phi = maximally_entangled(d_a).amplitudes
     achieved = float((phi.conj() @ out @ phi).real)
-    value = -sol.dual_value
+    value = -rep.certificate.dual_value
     cert = RecoveryCertificate(channel=recovery, achieved_overlap=achieved, predicted=value / d_a)
     return value, cert
 
@@ -268,8 +253,7 @@ def decoupling_accuracy(state: BipartiteState) -> tuple[float, DensityOperator]:
 def _decoupling_at_optimizer(hmax: EntropyReport, amp: np.ndarray) -> tuple[float, DensityOperator]:
     """decoupling_accuracy from _max_entropy_purified's report and amplitudes, without a solve."""
     d_a, _, d_c = amp.shape
-    w, v = _eigh(hmax.dual_optimizer.op.mat)
-    k = (v * np.sqrt(np.clip(w, 0.0, None))).reshape(d_a, d_c, -1)
+    k = _psd_factor(hmax.dual_optimizer.op.mat).reshape(d_a, d_c, -1)
     # E = K K†, so tr_AC[(E (x) id_B) psi psi†] = W W† with W = sum_ac psi K*
     wb = np.einsum("abc,acj->bj", amp, k.conj())
     t = float(np.linalg.norm(wb)) ** 2
@@ -304,27 +288,21 @@ def max_target_fidelity(state: BipartiteState, target: PureState) -> float:
     """Best squared fidelity with any pure target on A (x) A'.
 
     max_F F((id (x) F)(rho_AB), |Psi><Psi|)^2 over channels F from B to
-    A', computed by running the min-entropy SDP on the conjugated
-    operator d_A (t^(1/2) (x) id) rho (t^(1/2) (x) id) with t the reduced
-    state of the target on A.  The target's amplitude matrix is t^(1/2) U
-    by polar decomposition, for a singular t too, and the unitary U on A'
-    is absorbed into the channel, so the target may have any Schmidt rank.
-    For the maximally entangled target this reduces to singlet_fraction /
-    d_A, and for a product target |a>|b> to <a|rho_A|a>.
+    A'.  With M the target's amplitude matrix (Psi[a, a'] = M[a, a']),
+    <Psi| = sqrt(d_A) <Phi|(M† (x) id) exactly, and M acts on A, so it
+    commutes with id (x) F: the value is the min-entropy SDP value of the
+    conjugated operator d_A (M† (x) id) rho (M (x) id), divided by d_A.
+    No polar decomposition is taken, so the target may have any Schmidt
+    rank.  For the maximally entangled target this reduces to
+    singlet_fraction / d_A, and for a product target |a>|b> to <a|rho_A|a>.
     """
     d_a, d_b = state.d_A, state.d_B
     if target.dim != d_a * d_a:
         raise ValueError(f"target must live on A (x) A' with dimension {d_a * d_a}")
-    amp = target.amplitudes.reshape(d_a, d_a)
-    tau = amp @ amp.conj().T
-    w, v = _eigh(tau)
-    sqrt_tau = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    conj = np.kron(sqrt_tau, np.eye(d_b))
-    rho_tilde = d_a * (conj @ state.mat @ conj)
-    sol, _, _ = _solve_min_entropy_operator(
-        0.5 * (rho_tilde + rho_tilde.conj().T), d_a, d_b
-    )
-    return -sol.dual_value / d_a
+    conj = np.kron(target.amplitudes.reshape(d_a, d_a), np.eye(d_b))
+    rho_tilde = d_a * (conj.conj().T @ state.mat @ conj)
+    rep = _hmin_report("max_target_fidelity", rho_tilde, d_a, d_b)
+    return -rep.certificate.dual_value / d_a
 
 
 def closed_form_entropies(state: BipartiteState, case: str) -> tuple[float, float]:

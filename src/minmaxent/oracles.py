@@ -22,7 +22,6 @@ from .core import (
     _eigh,
     _partial_trace_mat,
     _psd_factor,
-    hermitian_basis,
     purify,
 )
 from .entropy import max_target_fidelity
@@ -128,22 +127,23 @@ def min_entropy_direct_search(state: BipartiteState) -> float:
     suffices: 1/lambda(s) is concave in s (if mu_i rho <= id (x) s_i, the
     mixture of the mu_i is feasible for the mixture of the s_i), so every
     local minimum of lambda is global.  s is h^2 / tr h^2 for the Hermitian
-    h with real coordinates theta in hermitian_basis(2); the simplex steps
-    0.05 along every coordinate from the start h = sqrt(id / 2), whose
-    ||theta|| is 1.
+    h = [[t0, (t2 + i t3) / sqrt(2)], [(t2 - i t3) / sqrt(2), t1]], whose real
+    coordinates theta = (t0, t1, t2, t3) are orthonormal (||h||_F = ||theta||);
+    the simplex steps 0.05 along every coordinate from the start
+    h = sqrt(id / 2), theta = (sqrt(1/2), sqrt(1/2), 0, 0), whose ||theta|| is 1.
     """
     d_a = state.d_A
     if state.d_B != 2:
         raise ValueError("direct search is limited to d_B = 2")
     rho = state.mat
-    basis = hermitian_basis(2)
 
     def objective(theta: np.ndarray) -> float:
-        h = np.einsum("k,kij->ij", theta, basis)
+        off = np.sqrt(0.5) * complex(theta[2], theta[3])
+        h = np.array([[theta[0], off], [off.conjugate(), theta[1]]])
         s = h @ h + 1e-10 * np.eye(2)
         return _coverage(rho, d_a, s / np.trace(s).real)
 
-    theta0 = np.einsum("kij,ji->k", basis, np.sqrt(0.5) * np.eye(2)).real
+    theta0 = np.array([np.sqrt(0.5), np.sqrt(0.5), 0.0, 0.0])
     simplex = np.vstack([theta0, theta0 + 0.05 * np.eye(theta0.size)])
     return _nelder_mead(objective, simplex, 1e-5, 1e-6, 4000)
 

@@ -34,6 +34,18 @@ def random_channel(d_in: int, d_out: int, seed: int) -> ChoiMatrix:
     return ChoiMatrix(HermitianOperator(j), d_in, d_out)
 
 
+def hermitian_basis(d: int) -> np.ndarray:
+    """Orthonormal basis of d x d Hermitian matrices under tr(A B), shape (d*d, d, d): the diagonal
+    units, and for each i < j the pair (E_ij + E_ji)/sqrt(2), i (E_ij - E_ji)/sqrt(2)."""
+    out = []
+    for i in range(d):
+        for j in range(i, d):
+            e = np.zeros((d, d), dtype=complex)
+            e[i, j] = 1.0
+            out += [e] if i == j else [(e + e.T) / np.sqrt(2.0), 1j * (e - e.T) / np.sqrt(2.0)]
+    return np.array(out)
+
+
 def channel_flags(j: ChoiMatrix, atol: float = 1e-8) -> tuple[bool, bool, bool]:
     """(completely positive, trace-preserving, unital) of a Choi matrix, each a residual test at atol:
     the smallest eigenvalue of J, and the largest entry of tr_out J - id and of tr_in J - id."""

@@ -5,13 +5,12 @@ from minmaxent import (
     ChoiMatrix,
     HermitianOperator,
     adjoint_channel,
-    hermitian_basis,
     maximally_entangled,
     random_density,
 )
 from minmaxent.entropy import _apply_on_second
 
-from conftest import channel_flags, random_channel
+from conftest import channel_flags, hermitian_basis, random_channel
 
 
 def herm(mat) -> HermitianOperator:

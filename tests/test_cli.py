@@ -210,6 +210,28 @@ def test_non_finite_entries_exit_2(tmp_path, capsys):
         assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "verb, text, message",
+    [
+        ("hmin", '{"d_A": true, "d_B": 2, "matrix": [[[1,0],[0,0]],[[0,0],[0,0]]]}',
+         "d_A and d_B must be integers"),
+        ("hmin", '{"d_A": 1, "d_B": 2, "matrix": [[[true,0],[0,0]],[[0,0],[0,0]]]}',
+         "matrix: entry (0,0) must be a [re, im] pair"),
+        ("pguess", '{"probs": [true, false], "states": [[[[1,0],[0,0]],[[0,0],[0,0]]], [[[0,0],[0,0]],[[0,0],[1,0]]]]}',
+         "probs must be a list of numbers"),
+    ],
+    ids=["dimension", "matrix_entry", "probs"],
+)
+def test_json_booleans_are_not_numbers(tmp_path, capsys, verb, text, message):
+    # JSON true and false parse as bool, an int subclass, so each numeric check excludes bool
+    # explicitly: else a boolean dimension reaches the solver, and a boolean entry reads as 1 or 0
+    path = tmp_path / "bools.json"
+    path.write_text(text)
+    assert run([verb, "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"{path}: {message}\n"
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     assert run(["hmin", "--input", str(tmp_path / "nope.json")]) == 2
     assert capsys.readouterr().err == f"{tmp_path / 'nope.json'}: file not found\n"

@@ -18,7 +18,6 @@ from minmaxent import (
     cq_to_density,
     ensemble_from_json,
     ensemble_to_json,
-    hermitian_basis,
     maximally_entangled,
     purify,
     random_density,
@@ -289,14 +288,6 @@ class TestRandomDensity:
         assert 0.869 <= float(np.mean(vals)) <= 0.881
 
 
-class TestHermitianBasis:
-    def test_orthonormal_and_complete(self):
-        basis = hermitian_basis(3)
-        assert basis.shape == (9, 3, 3)
-        gram = np.einsum("aij,bji->ab", basis, basis)
-        assert np.max(np.abs(gram - np.eye(9))) <= 1e-12
-
-
 class TestSerialization:
     def test_state_round_trip(self):
         state = BipartiteState(random_density(6, 80), 2, 3)
@@ -346,7 +337,7 @@ PACKAGE_API = {
     "RecoveryCertificate", "SdpSolution", "SolverError", "StateFormatError", "adjoint_channel",
     "check_certificate", "closed_form_entropies", "cq_to_density", "decoupling_accuracy",
     "ensemble_from_json", "ensemble_to_json", "fidelity_sdp", "guessing_probability",
-    "helstrom_guess_probability", "hermitian_basis", "key_secrecy", "key_secrecy_block",
+    "helstrom_guess_probability", "key_secrecy", "key_secrecy_block",
     "load_ensemble", "load_state", "max_entropy", "max_relative_entropy", "max_target_fidelity",
     "maximally_entangled", "min_entropy", "min_entropy_direct_search", "purify", "random_density",
     "root_fidelity", "sampled_target_fidelity", "save_ensemble", "save_state", "singlet_fraction",

@@ -24,6 +24,7 @@ from minmaxent import (
     sampled_target_fidelity,
     singlet_fraction,
 )
+from minmaxent.oracles import haar_isometry
 from minmaxent.verify import _full_rank_target, _pair_state
 
 from conftest import channel_flags, lower_triangle_fails, random_state, sampled_singlet_fraction
@@ -378,6 +379,18 @@ class TestMaxTargetFidelity:
         got = max_target_fidelity(state, PureState(np.kron(alpha, beta)))
         assert got == pytest.approx(want, abs=1e-8)
 
+    def test_a_unitary_on_the_target_side_leaves_the_value(self):
+        # the solve conjugates by the amplitude matrix M; (id (x) U)|Psi> has amplitude
+        # matrix M U^T, a unitary on A of the conjugated operator, which H_min does not see
+        rng = np.random.default_rng(24)
+        state = random_state(3, 2, seed=24)
+        target = _full_rank_target(3, seed=25)
+        u = haar_isometry(3, 3, rng)
+        rotated = PureState(np.kron(np.eye(3), u) @ target.amplitudes)
+        assert max_target_fidelity(state, rotated) == pytest.approx(
+            max_target_fidelity(state, target), abs=1e-8
+        )
+
 
 class TestClosedForms:
     def test_completely_mixed_product(self):
@@ -471,3 +484,30 @@ def test_eigensolver_failure_on_the_lower_triangle_is_recovered(monkeypatch, qua
     monkeypatch.setattr(np.linalg, "eigvalsh", lower_triangle_fails(np.linalg.eigvalsh, calls))
     assert quantity(state) == pytest.approx(expected, abs=1e-9)
     assert "U" in calls
+
+
+@pytest.mark.parametrize(
+    "quantity",
+    [
+        lambda s, e: min_entropy(s),
+        lambda s, e: max_entropy(s),
+        lambda s, e: guessing_probability(e),
+        lambda s, e: singlet_fraction(s),
+        lambda s, e: decoupling_accuracy(s),
+        lambda s, e: key_secrecy(e),
+        lambda s, e: max_target_fidelity(s, _full_rank_target(2, seed=10)),
+    ],
+    ids=[
+        "min_entropy", "max_entropy", "guessing_probability", "singlet_fraction",
+        "decoupling_accuracy", "key_secrecy", "max_target_fidelity",
+    ],
+)
+def test_each_quantity_is_read_from_one_solve(monkeypatch, helstrom_ensemble, quantity):
+    # every operational quantity is a readout of the one min-entropy report it solves for
+    import minmaxent.sdp as sdp
+
+    calls = []
+    solve = sdp.solve
+    monkeypatch.setattr(sdp, "solve", lambda problem: calls.append(problem) or solve(problem))
+    quantity(random_state(2, 2, seed=9), helstrom_ensemble)
+    assert len(calls) == 1
