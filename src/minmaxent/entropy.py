@@ -16,8 +16,9 @@ decoupling accuracy d_A * max_sigma F(rho_AB, tau_A (x) sigma)^2, whose
 optimal sigma is read from the optimizer of that same min-entropy SDP on
 A (x) C: every quantity here is one SDP form.  F always denotes the
 ROOT fidelity ||sqrt(r) sqrt(s)||_1, whose square is the overlap
-against pure states.  All logarithms are base 2 and every reported
-value carries its solver certificate.
+against pure states.  All logarithms are base 2.  The two entropies
+return their EntropyReport, solver certificate included; the operational
+quantities return values read from one such report.
 """
 
 from __future__ import annotations

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HermitianOperator, _eigh
+from .core import HermitianOperator, _eigh, _frozen, _partial_trace_mat
 
 __all__ = [
     "HermitianSdp",
@@ -60,10 +60,11 @@ STATUS_MAX_ITERATIONS = "max_iterations"
 STATUS_INFEASIBLE_SUSPECTED = "infeasible_suspected"
 STATUS_NUMERICAL_FAILURE = "numerical_failure"
 
-# Stopping target (relative gap and residuals), and the iterate norm
-# beyond which a solve stops as diverged (both sides of the min-entropy
-# SDP are strictly feasible, so only a numerical divergence reaches it).
+# Stopping target (relative gap and residuals), the iteration cap, and the
+# iterate norm beyond which a solve stops as diverged (both sides of the
+# min-entropy SDP are strictly feasible, so only a numerical divergence reaches it).
 DEFAULT_TOL = 1e-9
+MAX_ITERATIONS = 200
 DIVERGENCE_LIMIT = 1e12
 # STEP_FRACTION: per cycle at benchmark seeds 1-4, 0.97 takes 459-468 iterations on minent-batch
 # and 147-153 on hmax-purified; 0.95 took 471-481 and 152-159, 0.98 456-463 and 151-156, 0.9 522-528 and 165-167.
@@ -78,7 +79,7 @@ CENTERING_EXPONENT = 1.25
 class SolverError(RuntimeError):
     """Raised by callers when a solve does not reach an optimal certificate."""
 
-    def __init__(self, message: str, solution: "SdpSolution | None" = None):
+    def __init__(self, message: str, solution: "SdpSolution"):
         super().__init__(message)
         self.solution = solution
 
@@ -200,7 +201,7 @@ def _nt_scaling(lx: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (lx @ qmid) * wmid**-0.25, np.sqrt(wmid)
 
 
-def solve(problem: HermitianSdp, max_iterations: int = 200) -> SdpSolution:
+def solve(problem: HermitianSdp) -> SdpSolution:
     """Run the interior-point iteration and return a matched certificate.
 
     The iteration starts from y = 0, Z = ||C||_F I (I if C = 0) and the feasible
@@ -214,7 +215,7 @@ def solve(problem: HermitianSdp, max_iterations: int = 200) -> SdpSolution:
 
     The returned status is one of
       "optimal"               the certificate meets the tolerances above;
-      "max_iterations"        the iteration cap was hit;
+      "max_iterations"        the iteration cap MAX_ITERATIONS was hit;
       "infeasible_suspected"  the iterates diverged past DIVERGENCE_LIMIT;
       "numerical_failure"     an eigendecomposition failed on both triangles, the
                               Schur matrix did not factor, or a step at its estimated
@@ -254,7 +255,7 @@ def solve(problem: HermitianSdp, max_iterations: int = 200) -> SdpSolution:
         dinf = float(np.linalg.norm(rd)) / (1.0 + norm_c)
         return rp, rd, xz, pv, dv, pinf, dinf, xz / (1.0 + abs(pv) + abs(dv))
 
-    for it in range(1, max_iterations + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         iterations = it
         rp, rd, xz, pv, dv, pinf, dinf, relgap = measure(x, y, z)
         mu = xz / n
@@ -317,7 +318,7 @@ def solve(problem: HermitianSdp, max_iterations: int = 200) -> SdpSolution:
 
     return SdpSolution(
         X_star=HermitianOperator(x),
-        y_star=y.copy(),
+        y_star=_frozen(y),
         Z_star=HermitianOperator(z),
         primal_value=pv,
         dual_value=dv,
@@ -330,27 +331,19 @@ def solve(problem: HermitianSdp, max_iterations: int = 200) -> SdpSolution:
 def check_certificate(problem: HermitianSdp, solution: SdpSolution) -> CertificateReport:
     """Recompute feasibility residuals, cone violations and the gap from scratch.
 
-    Uses only the problem data and the solution's (X, y, Z); nothing is
-    shared with the solver internals, so corrupted certificates are caught.
+    Reads the two identities directly: tr_A X = id_B, and Z = C - id_A (x) Y
+    with Y the d_B x d_B reshape of y.  Uses only the problem data and the
+    solution's (X, y, Z); nothing is shared with the solver internals, so
+    corrupted certificates are caught.
     """
-    x = solution.X_star.mat
-    z = solution.Z_star.mat
-    y = solution.y_star
-    # every A_(j,k) written out densely: id_A (x) E_kj, so tr(A_(j,k) X) = (tr_A X)_jk = delta_jk,
-    # and y_(j,k) multiplies A_(j,k)^H
-    starts, cons = problem.d_B * np.arange(problem.d_A), []
-    for j, k in np.ndindex(problem.d_B, problem.d_B):
-        a = np.zeros((problem.dim,) * 2, dtype=complex)
-        a[starts + k, starts + j] = 1.0
-        cons.append((a, float(j == k)))
-    residuals = [abs(np.trace(a @ x) - b) for a, b in cons]
-    asum = sum(yi * a.conj().T for yi, (a, _) in zip(y, cons))
-    dual_res = float(np.max(np.abs(problem.objective.mat - z - asum)))
-    pv = float(np.trace(problem.objective.mat @ x).real)
-    dv = float(sum(np.conj(yi) * b for yi, (_, b) in zip(y, cons)).real)
+    x, z, c = solution.X_star.mat, solution.Z_star.mat, problem.objective.mat
+    d_a, d_b = problem.d_A, problem.d_B
+    y = solution.y_star.reshape(d_b, d_b)
+    pv = float(np.vdot(c, x).real)  # tr(C X), C Hermitian
+    dv = float(np.trace(y).real)
     return CertificateReport(
-        constraint_residual=float(max(residuals)),
-        dual_residual=dual_res,
+        constraint_residual=float(np.max(np.abs(_partial_trace_mat(x, d_a, d_b, "B") - np.eye(d_b)))),
+        dual_residual=float(np.max(np.abs(c - z - np.kron(np.eye(d_a), y)))),
         min_eig_X=float(_eigh(x, vectors=False)[0]),
         min_eig_Z=float(_eigh(z, vectors=False)[0]),
         primal_value=pv,

@@ -232,6 +232,33 @@ def test_json_booleans_are_not_numbers(tmp_path, capsys, verb, text, message):
     assert captured.out == "" and captured.err == f"{path}: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "verb, text, message",
+    [
+        ("hmin", '{"d_A": -1, "d_B": -1, "matrix": [[[1,0]]]}', "subsystem dimensions must be positive"),
+        ("hmin", '{"d_A": 1, "d_B": 1, "matrix": []}', "matrix: expected a nonempty list of rows"),
+        ("hmin", '{"d_A": 1, "d_B": 2, "matrix": [[[1,0],[0,0]],[[0,0]]]}', "matrix: row 1 must be a list of 2 entries"),
+        ("hmin", "[1, 2]", "expected a JSON object"),
+        ("pguess", "[1, 2]", "expected a JSON object"),
+        ("pguess", '{"probs": [0.5, 0.5]}', "missing key 'states'"),
+        ("pguess", '{"probs": [0.5, 0.5], "states": [[[[1,0],[0,0]],[[0,0],[0,0]]]]}',
+         "states must be a list matching probs in length"),
+        ("pguess", '{"probs": [], "states": []}', "probs must be a nonempty vector"),
+        ("pguess", '{"probs": [1.5, -0.5], "states": [[[[1,0],[0,0]],[[0,0],[0,0]]], [[[0,0],[0,0]],[[0,0],[1,0]]]]}',
+         "probabilities must be nonnegative"),
+    ],
+    ids=["dimensions", "no_rows", "ragged_row", "state_array", "ensemble_array", "no_states", "short_states",
+         "no_probs", "negative_prob"],
+)
+def test_file_structure_errors_exit_2(tmp_path, capsys, verb, text, message):
+    # each structural check of the state and ensemble loaders names the file and exits 2
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert run([verb, "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"{path}: {message}\n"
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     assert run(["hmin", "--input", str(tmp_path / "nope.json")]) == 2
     assert capsys.readouterr().err == f"{tmp_path / 'nope.json'}: file not found\n"

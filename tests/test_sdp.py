@@ -1,5 +1,6 @@
 import itertools
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from minmaxent import (
     solve,
 )
 from minmaxent.core import _eigh
-from minmaxent.entropy import _min_entropy_problem
+from minmaxent.entropy import _max_entropy_purified, _min_entropy_problem
 from minmaxent.verify import _ensembles
 
 from conftest import lower_triangle_fails, random_state
@@ -176,14 +177,16 @@ class TestSolve:
             assert max(cert.constraint_residual, cert.dual_residual, cert.weak_duality_violation) <= 1e-9
             assert min(cert.min_eig_X, cert.min_eig_Z) >= -1e-9
 
-    def test_max_iterations_status(self):
-        sol = solve(hmin_problem(11), max_iterations=2)
+    def test_max_iterations_status(self, monkeypatch):
+        monkeypatch.setattr(sdp, "MAX_ITERATIONS", 2)
+        sol = solve(hmin_problem(11))
         assert sol.status == "max_iterations"
 
-    def test_weak_duality_holds_for_every_status(self):
+    def test_weak_duality_holds_for_every_status(self, monkeypatch):
         p = hmin_problem(15)
         for cap in (1, 3, 5, 200):
-            sol = solve(p, max_iterations=cap)
+            monkeypatch.setattr(sdp, "MAX_ITERATIONS", cap)
+            sol = solve(p)
             assert sol.dual_value <= sol.primal_value + 1e-9
 
     def test_infeasible_detected(self):
@@ -243,6 +246,29 @@ class TestCertificate:
         )
         report = check_certificate(p, forged)
         assert report.weak_duality_violation > 1e-6
+
+    def test_solution_arrays_are_read_only(self):
+        sol = min_entropy(BipartiteState(random_density(4, 3), 2, 2)).certificate
+        for arr in (sol.X_star.mat, sol.y_star, sol.Z_star.mat):
+            assert not arr.flags.writeable
+
+    def test_check_of_a_purified_problem_stores_no_constraint_stack(self):
+        # the full-rank 4x4 H_max problem on A (x) C: n = 64, m = 256; m dense n x n
+        # constraint matrices alone would take 16.8 MB
+        report, amp = _max_entropy_purified(random_state(4, 4, 18))
+        rho_ac = np.einsum("abc,dbe->acde", amp, amp.conj()).reshape(64, 64)
+        p = _min_entropy_problem(rho_ac, 4, 16)
+        assert (p.dim, p.n_constraints) == (64, 256)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            check_certificate(p, report.certificate)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 BUILDERS = {
@@ -306,6 +332,45 @@ class TestConstraintCoords:
         assert np.max(np.abs(aty - np.einsum("i,iba->ab", y, amats))) <= 1e-12
         # <y, A(X)> = <A*(y), X>
         assert abs(np.vdot(y, ax) - np.vdot(aty, x)) <= 1e-12 * (1.0 + abs(np.vdot(y, ax)))
+
+    def test_certificate_check_matches_dense_definition(self, name, monkeypatch):
+        # every CertificateReport field from the dense A_(j,k), b_(j,k) = delta_jk, on the
+        # solver's certificate and on a random (X, y, Z) whose residuals are of order one
+        p, amats = self.dense(name)
+        n, m = p.dim, p.n_constraints
+        b = np.eye(p.d_B).ravel()
+        rng = np.random.default_rng(42)
+        sol = solve(p)
+        forged = SdpSolution(
+            X_star=herm(self.random_hermitian(n, 43)),
+            y_star=rng.standard_normal(m) + 1j * rng.standard_normal(m),
+            Z_star=herm(self.random_hermitian(n, 44) - 0.5 * np.eye(n)),
+            primal_value=0.3,
+            dual_value=0.4,
+            gap=-0.1,
+            status=sdp.STATUS_MAX_ITERATIONS,
+            iterations=3,
+        )
+        for method in ("_op", "_adj", "_schur"):
+            monkeypatch.setattr(HermitianSdp, method, _raise_linalg)
+        for s in (sol, forged):
+            x, z, c = s.X_star.mat, s.Z_star.mat, p.objective.mat
+            pv = np.trace(c @ x).real
+            dv = np.sum(np.conj(s.y_star) * b).real
+            want = {
+                "constraint_residual": np.max(np.abs(np.einsum("iab,ba->i", amats, x) - b)),
+                "dual_residual": np.max(np.abs(c - z - np.einsum("i,iba->ab", s.y_star, amats.conj()))),
+                "min_eig_X": np.linalg.eigvalsh(x)[0],
+                "min_eig_Z": np.linalg.eigvalsh(z)[0],
+                "primal_value": pv,
+                "dual_value": dv,
+                "gap": pv - dv,
+                "value_mismatch": max(abs(pv - s.primal_value), abs(dv - s.dual_value)),
+                "weak_duality_violation": max(0.0, s.dual_value - s.primal_value),
+            }
+            got = check_certificate(p, s)
+            for field, value in want.items():
+                assert abs(getattr(got, field) - value) <= 1e-12 * (1.0 + abs(value)), field
 
     def test_each_dual_block_is_exactly_hermitian(self, name):
         # y_star holds the multiplier Y row-major
@@ -539,7 +604,8 @@ class TestCorrector:
             return op(self, x)
 
         monkeypatch.setattr(HermitianSdp, "_op", counted_op)
-        sol = solve(p, max_iterations=cap)
+        monkeypatch.setattr(sdp, "MAX_ITERATIONS", cap)
+        sol = solve(p)
         if cap == 200:
             assert sol.status == "optimal"
             assert len(calls) == sol.iterations + 2 * (sol.iterations - 1)
@@ -629,7 +695,9 @@ class TestEigenFallback:
 
     def test_failure_mid_run_keeps_the_last_iterate(self, monkeypatch):
         p = hmin_problem(16)
-        capped = solve(p, max_iterations=3)
+        with monkeypatch.context() as capped_run:
+            capped_run.setattr(sdp, "MAX_ITERATIONS", 3)
+            capped = solve(p)
         numpy_eigh = np.linalg.eigh
         calls = []
 
