@@ -46,7 +46,6 @@ from .entropy import (
 )
 from .oracles import (
     OracleReport,
-    fidelity_sdp,
     helstrom_guess_probability,
     min_entropy_direct_search,
     sampled_target_fidelity,
@@ -84,7 +83,6 @@ __all__ = [
     "decoupling_accuracy",
     "ensemble_from_json",
     "ensemble_to_json",
-    "fidelity_sdp",
     "guessing_probability",
     "helstrom_guess_probability",
     "key_secrecy",

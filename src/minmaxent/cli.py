@@ -62,7 +62,6 @@ _INPUTS = {
     "checks": (
         _SEED,
         ("--trials", {"type": int, "default": None, "help": "override per-criterion trial counts"}),
-        ("--tol", {"type": float, "default": None, "help": "override per-check tolerances"}),
     ),
 }
 
@@ -148,7 +147,7 @@ def _gen(args: argparse.Namespace) -> dict:
 
 
 def _verify(args: argparse.Namespace) -> dict:
-    results = verify_mod.run_all(seed=args.seed, trials=args.trials, tol=args.tol)
+    results = verify_mod.run_all(seed=args.seed, trials=args.trials)
     keys = ("quantity", "oracle_value", "main_value", "gap", "tolerance", "method", "passed")
     criteria = [
         {

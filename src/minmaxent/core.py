@@ -415,14 +415,19 @@ def save_state(state: BipartiteState, path: str) -> None:
 
 
 def _load(path: str, parse):
-    """parse(the file's text); a JSONDecodeError or StateFormatError leaves with the path as its filename."""
+    """parse(the file's text); a JSONDecodeError or StateFormatError leaves with the path as its filename,
+    as do bytes that are not UTF-8, arrays nested past the parser's recursion limit and integers too
+    large for a float, each as a StateFormatError."""
     with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        return parse(text)
-    except (json.JSONDecodeError, StateFormatError) as exc:
-        exc.filename = path
-        raise
+        try:
+            return parse(fh.read())
+        except (json.JSONDecodeError, StateFormatError) as exc:
+            exc.filename = path
+            raise
+        except (UnicodeDecodeError, RecursionError, OverflowError) as exc:
+            err = StateFormatError(str(exc))
+            err.filename = path
+            raise err from exc
 
 
 def load_state(path: str) -> BipartiteState:

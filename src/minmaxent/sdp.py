@@ -51,18 +51,16 @@ __all__ = [
     "check_certificate",
     "STATUS_OPTIMAL",
     "STATUS_MAX_ITERATIONS",
-    "STATUS_INFEASIBLE_SUSPECTED",
     "STATUS_NUMERICAL_FAILURE",
 ]
 
 STATUS_OPTIMAL = "optimal"
 STATUS_MAX_ITERATIONS = "max_iterations"
-STATUS_INFEASIBLE_SUSPECTED = "infeasible_suspected"
 STATUS_NUMERICAL_FAILURE = "numerical_failure"
 
 # Stopping target (relative gap and residuals), the iteration cap, and the
-# iterate norm beyond which a solve stops as diverged (both sides of the
-# min-entropy SDP are strictly feasible, so only a numerical divergence reaches it).
+# iterate norm beyond which a solve stops as a numerical failure (both sides of
+# the min-entropy SDP are strictly feasible, so only a numerical divergence reaches it).
 DEFAULT_TOL = 1e-9
 MAX_ITERATIONS = 200
 DIVERGENCE_LIMIT = 1e12
@@ -214,13 +212,13 @@ def solve(problem: HermitianSdp) -> SdpSolution:
     once Cholesky has found that matrix positive definite.
 
     The returned status is one of
-      "optimal"               the certificate meets the tolerances above;
-      "max_iterations"        the iteration cap MAX_ITERATIONS was hit;
-      "infeasible_suspected"  the iterates diverged past DIVERGENCE_LIMIT;
-      "numerical_failure"     an eigendecomposition failed on both triangles, the
-                              Schur matrix did not factor, or a step at its estimated
-                              length left diag(lam) + alpha S, the new X or Z in the
-                              NT-scaled frame, without a finite Cholesky factor.
+      "optimal"            the certificate meets the tolerances above;
+      "max_iterations"     the iteration cap MAX_ITERATIONS was hit;
+      "numerical_failure"  an eigendecomposition failed on both triangles, the
+                           Schur matrix did not factor, a step at its estimated
+                           length left diag(lam) + alpha S, the new X or Z in the
+                           NT-scaled frame, without a finite Cholesky factor, or
+                           the iterates diverged past DIVERGENCE_LIMIT.
     A run stops as "optimal" once the primal and dual residuals and the
     relative gap meet DEFAULT_TOL and dual_value <= primal_value + 1e-9.
     Whatever the status, the last completed iterate is returned as the
@@ -264,7 +262,7 @@ def solve(problem: HermitianSdp) -> SdpSolution:
             status = STATUS_OPTIMAL
             break
         if max(np.abs(x).max(), np.abs(z).max(), np.abs(y).max()) > DIVERGENCE_LIMIT:
-            status = STATUS_INFEASIBLE_SUSPECTED
+            status = STATUS_NUMERICAL_FAILURE
             break
 
         # Any LinAlgError ends the loop; (x, lx, y, z) are only replaced by a completed step.

@@ -10,7 +10,7 @@ shell and pytest always agree on what was checked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -335,22 +335,15 @@ CRITERIA: list[tuple[int, str, int, object]] = [
 ]
 
 
-def run_criterion(
-    index: int, seed: int = 0, trials: int | None = None, tol: float | None = None
-) -> CriterionResult:
+def run_criterion(index: int, seed: int = 0, trials: int | None = None) -> CriterionResult:
     if trials is not None and trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     for idx, title, default_trials, func in CRITERIA:
         if idx == index:
             n = default_trials if trials is None else trials
-            reports = func(seed, n)
-            if tol is not None:
-                reports = [replace(r, tolerance=tol) for r in reports]
-            return CriterionResult(index=idx, title=title, reports=tuple(reports))
+            return CriterionResult(index=idx, title=title, reports=tuple(func(seed, n)))
     raise ValueError(f"no criterion with index {index}")
 
 
-def run_all(
-    seed: int = 0, trials: int | None = None, tol: float | None = None
-) -> list[CriterionResult]:
-    return [run_criterion(idx, seed=seed, trials=trials, tol=tol) for idx, _, _, _ in CRITERIA]
+def run_all(seed: int = 0, trials: int | None = None) -> list[CriterionResult]:
+    return [run_criterion(idx, seed=seed, trials=trials) for idx, _, _, _ in CRITERIA]

@@ -9,7 +9,16 @@ import sys
 import numpy as np
 import pytest
 
-from minmaxent import BipartiteState, cli, load_state, max_entropy, min_entropy, random_density, save_state
+from minmaxent import (
+    BipartiteState,
+    OracleReport,
+    cli,
+    load_state,
+    max_entropy,
+    min_entropy,
+    random_density,
+    save_state,
+)
 from minmaxent import verify as verify_mod
 from minmaxent.cli import run
 
@@ -259,6 +268,40 @@ def test_file_structure_errors_exit_2(tmp_path, capsys, verb, text, message):
     assert captured.out == "" and captured.err == f"{path}: {message}\n"
 
 
+_HUGE = "1" + "0" * 400  # an integer literal too large for a float
+_DEEP = b"[" * 200000 + b"]" * 200000  # arrays nested past the parser's recursion limit
+_NOT_UTF8 = b'{"d_A": 1, "d_B": 1, "matrix": [[[1, 0]]]} \xff'
+
+
+@pytest.mark.parametrize(
+    "verb, content, message",
+    [
+        ("hmin", f'{{"d_A": 1, "d_B": 1, "matrix": [[[{_HUGE}, 0]]]}}'.encode(), "int too large to convert to float"),
+        ("pguess", f'{{"probs": [{_HUGE}], "states": [[[[1, 0]]]]}}'.encode(), "int too large to convert to float"),
+        ("fidmax", f'{{"d_A": 2, "d_B": 2, "matrix": [[[{_HUGE}, 0]]]}}'.encode(), "int too large to convert to float"),
+        ("hmin", _DEEP, "maximum recursion depth exceeded"),
+        ("pguess", _DEEP, "maximum recursion depth exceeded"),
+        ("fidmax", _DEEP, "maximum recursion depth exceeded"),
+        ("hmin", _NOT_UTF8, "'utf-8' codec can't decode byte 0xff"),
+        ("pguess", _NOT_UTF8, "'utf-8' codec can't decode byte 0xff"),
+        ("fidmax", _NOT_UTF8, "'utf-8' codec can't decode byte 0xff"),
+    ],
+    ids=["state_overflow", "ensemble_overflow", "target_overflow", "state_deep", "ensemble_deep", "target_deep",
+         "state_not_utf8", "ensemble_not_utf8", "target_not_utf8"],
+)
+def test_undecodable_files_exit_2(library, tmp_path, capsys, verb, content, message):
+    # errors of the file's content that are not JSON syntax or structure also name the file and exit 2
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    if verb == "fidmax":
+        argv = [verb, "--input", str(library / "random_2x2.json"), "--target", str(path)]
+    else:
+        argv = [verb, "--input", str(path)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"{path}: {message}") and captured.err.count("\n") == 1
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     assert run(["hmin", "--input", str(tmp_path / "nope.json")]) == 2
     assert capsys.readouterr().err == f"{tmp_path / 'nope.json'}: file not found\n"
@@ -442,13 +485,6 @@ def test_escaping_linalg_error_exits_1_not_2(library, capsys, monkeypatch):
     assert "solver failure: injected failure" in capsys.readouterr().err
 
 
-def test_run_criterion_tolerance_override():
-    loose = verify_mod.run_criterion(1, trials=2, tol=1.0)
-    assert loose.reports and all(r.tolerance == 1.0 and r.passed for r in loose.reports)
-    strict = verify_mod.run_criterion(1, trials=2, tol=-1.0)
-    assert strict.reports and not any(r.passed for r in strict.reports)
-
-
 def test_run_criterion_unknown_index():
     with pytest.raises(ValueError):
         verify_mod.run_criterion(99)
@@ -466,10 +502,14 @@ def test_verify_nonpositive_trials_exits_2(capsys):
     assert "PASS" not in out.out and "trials" in out.err
 
 
-def test_verify_tol_flag_reaches_every_check(capsys, monkeypatch):
-    monkeypatch.setattr(verify_mod, "CRITERIA", verify_mod.CRITERIA[:1])
-    code = run(["verify", "--trials", "1", "--tol", "-1", "--format", "json"])
+def test_verify_failing_row_exits_1_at_its_own_tolerance(capsys, monkeypatch):
+    # each row keeps the tolerance its criterion states; one row past it fails the run
+    rows = [OracleReport("ok", 1.0, 1.0, 0.0, "exact", 1e-9), OracleReport("off", 1.0, 0.5, 0.5, "injected", 1e-9)]
+    monkeypatch.setattr(verify_mod, "CRITERIA", [(1, "injected rows", 1, lambda seed, trials: rows)])
+    code = run(["verify", "--trials", "1", "--format", "json"])
     out = json.loads(capsys.readouterr().out)
     assert code == 1 and out["all_passed"] is False
-    checks = out["criteria"][0]["checks"]
-    assert checks and all(c["tolerance"] == -1.0 and not c["passed"] for c in checks)
+    assert [(c["tolerance"], c["passed"]) for c in out["criteria"][0]["checks"]] == [(1e-9, True), (1e-9, False)]
+    with pytest.raises(SystemExit) as exc:  # there is no tolerance override
+        run(["verify", "--tol", "1"])
+    assert exc.value.code == 2

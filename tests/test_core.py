@@ -336,7 +336,7 @@ PACKAGE_API = {
     "EntropyReport", "HermitianOperator", "HermitianSdp", "OracleReport", "PureState",
     "RecoveryCertificate", "SdpSolution", "SolverError", "StateFormatError", "adjoint_channel",
     "check_certificate", "closed_form_entropies", "cq_to_density", "decoupling_accuracy",
-    "ensemble_from_json", "ensemble_to_json", "fidelity_sdp", "guessing_probability",
+    "ensemble_from_json", "ensemble_to_json", "guessing_probability",
     "helstrom_guess_probability", "key_secrecy", "key_secrecy_block",
     "load_ensemble", "load_state", "max_entropy", "max_relative_entropy", "max_target_fidelity",
     "maximally_entangled", "min_entropy", "min_entropy_direct_search", "purify", "random_density",

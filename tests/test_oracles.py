@@ -1,5 +1,7 @@
+import ast
 import itertools
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -9,7 +11,6 @@ from minmaxent import (
     BipartiteState,
     DensityOperator,
     closed_form_entropies,
-    fidelity_sdp,
     helstrom_guess_probability,
     maximally_entangled,
     min_entropy,
@@ -23,6 +24,7 @@ from minmaxent import (
 
 from conftest import (
     channel_flags,
+    fidelity_sdp,
     lower_triangle_fails,
     random_channel,
     random_state,
@@ -313,3 +315,14 @@ def test_helstrom_recovers_from_a_lower_triangle_failure(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", lower_triangle_fails(np.linalg.eigvalsh, calls))
     assert helstrom_guess_probability(0.3, rho0, rho1) == pytest.approx(expected, abs=1e-12)
     assert "U" in calls
+
+
+def test_oracles_import_no_package_module_but_core():
+    # the oracles check the solver's callers, so they import none of them: relative imports
+    # name only .core, and no absolute import names the package
+    tree = ast.parse(pathlib.Path(oracles.__file__).read_text(encoding="utf-8"))
+    relative = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
+    absolute = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names]
+    absolute += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and not node.level]
+    assert relative == ["core"]
+    assert not [name for name in absolute if name.split(".")[0] == "minmaxent"]

@@ -191,10 +191,10 @@ class TestSolve:
 
     def test_infeasible_detected(self):
         # both sides of the min-entropy SDP are strictly feasible (X = I/d_A, and
-        # Y = -t id_B with t > lmax(C)), so the status can only report iterates past
-        # DIVERGENCE_LIMIT: here Z starts at ||C||_F I, beyond it
+        # Y = -t id_B with t > lmax(C)), so iterates past DIVERGENCE_LIMIT can only be a
+        # numerical blow-up: here Z starts at ||C||_F I, beyond it
         sol = solve(HermitianSdp(herm(-1e13 * random_density(6, 17).mat), 2, 3))
-        assert sol.status == "infeasible_suspected" and sol.iterations == 1
+        assert sol.status == "numerical_failure" and sol.iterations == 1
 
     def test_dimension_mismatch_rejected(self):
         # d_A blocks of size d_B that do not partition the dimension of the objective
