@@ -14,9 +14,10 @@ decoupling accuracy and the key secrecy on a purification.  The
 iterates are complex Hermitian matrices throughout.  The iteration is an
 infeasible-start path-following method with Nesterov-Todd scaling (Todd,
 Toh and Tutuncu, SIAM J. Optim. 8, 1998) in Mehrotra's
-predictor-corrector form (S. Mehrotra, SIAM J. Optim. 2, 1992): the
-predictor's affine step sets the centering parameter, and the corrector
-carries its second-order term, a Lyapunov solve that is elementwise in
+predictor-corrector form (S. Mehrotra, SIAM J. Optim. 2, 1992), save
+that the relative dual residual, not the predictor's step, sets the
+centering parameter: the predictor's affine direction only feeds the
+corrector's second-order term, a Lyapunov solve that is elementwise in
 the NT-scaled frame.  The Schur matrix of Y -> tr_A[W (id (x) Y) W] is
 complex Hermitian, the reshuffled sum over blocks of kron(W_st, W_ts^T):
 one product of W's blocks, O(d_A^2 d_B^4).
@@ -27,7 +28,7 @@ is estimated.  With S the step of X (or of Z) read in that frame, the
 step is taken at its estimated length alpha only if diag(lam) + alpha S
 factors by Cholesky as L L^H; the new X is rebuilt as (G L)(G L)^H, PSD
 by construction, and Z + alpha dZ is formed as it stands.  The
-predictor's step is never taken and only estimated.  Z^-1 =
+predictor's step is neither taken nor measured.  Z^-1 =
 G diag(1/lam) G^H is read in the same frame, so nothing is inverted: a
 Cholesky factorization tests the Schur matrix once per iteration, and
 each Newton system is one LU solve with it.  Any LinAlgError ends the
@@ -64,14 +65,18 @@ STATUS_NUMERICAL_FAILURE = "numerical_failure"
 DEFAULT_TOL = 1e-9
 MAX_ITERATIONS = 200
 DIVERGENCE_LIMIT = 1e12
-# STEP_FRACTION: per cycle at benchmark seeds 1-4, 0.97 takes 459-468 iterations on minent-batch
-# and 147-153 on hmax-purified; 0.95 took 471-481 and 152-159, 0.98 456-463 and 151-156, 0.9 522-528 and 165-167.
-STEP_FRACTION = 0.97
-# CENTERING_EXPONENT: the centering sigma is (mu_aff / mu)^CENTERING_EXPONENT.  Iterations at 3 / 2 / 1.5 /
-# 1.25 / 1.1 / 1: benchmark cycles at seeds 1-3 1836 / 1728 / 1675 / 1663 / 1655 / 1680 (held-out seeds 7-9:
-# 1852 at 3, 1683 at 1.5, 1667 at 1.25), verify seeds 0-2 12399 / 11946 / 11809 / 11776 / 11840 / 12057 (seeds
-# 3-5: 12400, 11782, 11763), the 2400-call sweep 23883 / 22925 / 22513 / 22385 / 22403 / 22698, all optimal.
-CENTERING_EXPONENT = 1.25
+# The centering sigma is the relative dual residual clipped to [CENTERING_MIN, CENTERING_MAX]: it centers
+# hard while the dual is infeasible (a constant sigma, 0.03 or 0.2, leaves a solve capped at one iteration
+# with its dual value above its primal).  Iterations on the benchmark cycles at seeds 1-3 / verify seeds 0-2 /
+# the 2400-call sweep, all optimal: floors 0.01 / 0.02 / 0.03 / 0.05 / 0.1 under the cap 0.5 with
+# STEP_FRACTION 0.98 take 1813 / 1707 / 1657 / 1687 / 1965, 11939 / 11319 / 11204 / 11730 / 13606 and
+# 23406 / 22061 / 21960 / 22911 / 26874; caps 0.3 / 1 at the floor 0.03, 1707 / 1683, 11165 / 11554 and
+# 22364 / 22485; STEP_FRACTION 0.97 / 0.985 / 0.99 at [0.03, 0.5], 1676 / 1670 / 1840, 11434 / 11250 /
+# 11850 and 22477 / 21848 / 22924.  Mehrotra's sigma = (mu_aff / mu)^1.25 with STEP_FRACTION 0.97 took
+# 1663, 11266 and 22385.  Held out (benchmark seeds 7-9, verify seeds 3-5, sweep seeds 200-399): 1682,
+# 11178 and 22026 here, 1667, 11254 and 22391 with Mehrotra's sigma.
+CENTERING_MIN, CENTERING_MAX = 0.03, 0.5
+STEP_FRACTION = 0.98
 
 
 class SolverError(RuntimeError):
@@ -164,20 +169,15 @@ class CertificateReport:
     weak_duality_violation: float
 
 
-def _scaled_eigvalsh(lam: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Spectrum of lam_i^-1/2 s_ij lam_j^-1/2 (eigvalsh reads one triangle: s is not symmetrized)."""
-    r = lam**-0.5
-    return _eigh(r[:, None] * s * r, vectors=False)
-
-
-def _step_length(wmin: float) -> float:
-    """Largest alpha <= 1 with 1 + alpha*wmin >= 1 - STEP_FRACTION, wmin a least scaled eigenvalue."""
-    return min(1.0, -STEP_FRACTION / wmin) if wmin < 0.0 else 1.0
-
-
 def _step_estimate(lam: np.ndarray, s: np.ndarray) -> float:
-    """Largest alpha <= 1 keeping diag(lam) + alpha*s, an NT-scaled step, inside the cone; unverified."""
-    return _step_length(float(_scaled_eigvalsh(lam, s)[0]))
+    """Largest alpha <= 1 keeping diag(lam) + alpha*s, an NT-scaled step, inside the cone; unverified.
+
+    With wmin the least eigenvalue of lam_i^-1/2 s_ij lam_j^-1/2 (eigvalsh reads one triangle: s is
+    not symmetrized), it is the largest alpha <= 1 with 1 + alpha*wmin >= 1 - STEP_FRACTION.
+    """
+    r = lam**-0.5
+    wmin = float(_eigh(r[:, None] * s * r, vectors=False)[0])
+    return min(1.0, -STEP_FRACTION / wmin) if wmin < 0.0 else 1.0
 
 
 def _max_step(s: np.ndarray, d: np.ndarray, alpha: float) -> tuple[float, np.ndarray]:
@@ -209,7 +209,11 @@ def solve(problem: HermitianSdp) -> SdpSolution:
     G^-1 X G^-H = G^H Z G = diag(lam): its cone test is one Cholesky of
     diag(lam) + alpha S at the estimated length alpha, the new X is rebuilt from
     the factor G L, and each Newton system is one LU solve with the Schur matrix,
-    once Cholesky has found that matrix positive definite.
+    once Cholesky has found that matrix positive definite.  The centering
+    parameter is the relative dual residual clipped to [CENTERING_MIN,
+    CENTERING_MAX]; the predictor's affine direction only feeds the
+    corrector's second-order term, so each iteration reads two step
+    spectra, those of the corrector's X and Z steps.
 
     The returned status is one of
       "optimal"            the certificate meets the tolerances above;
@@ -283,14 +287,11 @@ def solve(problem: HermitianSdp) -> SdpSolution:
 
             rhs = b + a_op(w @ rd @ w)  # rp - A(-X - W rd W): the predictor's, and the corrector's but one term
 
-            # Predictor: the affine step only fixes sigma; its lengths are estimated from one spectrum, as
-            # dXa = -X - W dZa W reads -diag(lam) - G† dZa G in the scaled frame, where mu_aff is read too.
+            # Predictor: the affine direction only feeds the corrector's second-order term; it is
+            # neither measured nor taken.  dXa = -X - W dZa W reads -diag(lam) - G† dZa G in the scaled frame.
             sza = gh @ (rd - a_adj(solve_schur(rhs))) @ g
             sxa = -lam_mat - sza
-            wa = _scaled_eigvalsh(lam, sza)
-            ap, ad = _step_length(-1.0 - float(wa[-1])), _step_length(float(wa[0]))
-            mu_aff = max(0.0, float(np.vdot(lam_mat + ad * sza, lam_mat + ap * sxa).real)) / n
-            sigma = min(1.0, max(1e-10, (mu_aff / mu) ** CENTERING_EXPONENT)) if mu > 0 else 0.0
+            sigma = min(CENTERING_MAX, max(CENTERING_MIN, dinf))
 
             # Corrector: sigma*mu Z^-1 - X less the second-order term G[(T + T†) / (lam_i + lam_j)]G†,
             # T = (G^-1 dXa G^-†)(G† dZa G), is G S G† - X as Z^-1 = G diag(1/lam) G†, so the

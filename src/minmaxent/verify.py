@@ -131,11 +131,17 @@ def _crit_guessing(seed: int, trials: int) -> list[OracleReport]:
     for i, ens in enumerate(_ensembles(seed, trials, binary=True)):
         p0, (rho0, rho1) = float(ens.probs[0]), ens.cond_states
         oracle = helstrom_guess_probability(p0, rho0, rho1)
-        main = 2.0 ** (-min_entropy(cq_to_density(ens)).value_bits)
-        value, _ = guessing_probability(ens)
-        rows.append(_row(f"pguess.t{i:02d}", oracle, main, "Helstrom spectral projector", 1e-6))
+        value, povm = guessing_probability(ens)
+        rows.append(_row(f"pguess.t{i:02d}", oracle, value, "Helstrom spectral projector", 1e-6))
+        # the POVM checked from scratch: each E_x >= 0, sum_x E_x = id_B and its success probability
+        mats = [e.mat for e in povm]
+        rhos = [r.mat for r in ens.cond_states]
+        achieved = float(sum(p * np.vdot(e, r).real for p, e, r in zip(ens.probs, mats, rhos)))
+        least = min(float(_eigh(e, vectors=False)[0]) for e in mats)
+        violation = max(-least, float(np.abs(sum(mats) - np.eye(ens.d_B)).max()))
+        gap = max(abs(achieved - oracle), violation)
         rows.append(
-            _row(f"pguess.povm.t{i:02d}", oracle, value, "Helstrom vs optimal POVM SDP", 1e-6)
+            _row(f"pguess.povm.t{i:02d}", oracle, achieved, "Helstrom vs optimal POVM", 1e-6, gap)
         )
     ket0 = DensityOperator.from_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
     ketp = DensityOperator.from_matrix(np.full((2, 2), 0.5))

@@ -11,6 +11,7 @@ import pytest
 
 from minmaxent import (
     BipartiteState,
+    HermitianOperator,
     OracleReport,
     cli,
     load_state,
@@ -494,6 +495,23 @@ def test_run_criterion_rejects_nonpositive_trials():
     for trials in (0, -3):
         with pytest.raises(ValueError, match="trials"):
             verify_mod.run_criterion(1, trials=trials)
+
+
+@pytest.mark.parametrize("shift", ["incomplete", "not_psd"])
+def test_guessing_povm_row_checks_the_povm_from_scratch(monkeypatch, shift):
+    # the solve's value stays; only the POVM it returns is spoiled, by 1e-3 * id_B
+    guess = verify_mod.guessing_probability
+
+    def spoiled(ens):
+        value, povm = guess(ens)
+        delta = 1e-3 * np.eye(ens.d_B)
+        e0, e1 = povm[0].mat + delta, povm[1].mat - (delta if shift == "not_psd" else 0.0)
+        return value, [HermitianOperator(e0), HermitianOperator(e1)]
+
+    monkeypatch.setattr(verify_mod, "guessing_probability", spoiled)
+    rows = {r.quantity: r for r in verify_mod.run_criterion(2, trials=1).reports}
+    assert rows["pguess.t00"].passed and not rows["pguess.povm.t00"].passed
+    assert rows["pguess.povm.t00"].gap >= 1e-3 - 1e-9
 
 
 def test_verify_nonpositive_trials_exits_2(capsys):

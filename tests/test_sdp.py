@@ -20,6 +20,7 @@ from minmaxent import (
     guessing_probability,
     max_entropy,
     min_entropy,
+    purify,
     random_density,
     sdp,
     solve,
@@ -45,6 +46,15 @@ def domination_problem(rho: np.ndarray) -> HermitianSdp:
 def hmin_problem(seed: int) -> HermitianSdp:
     """The 2x3 min-entropy SDP of a full-rank state."""
     return _min_entropy_problem(random_density(6, seed).mat, 2, 3)
+
+
+def crit8_purified_problem() -> HermitianSdp:
+    """The min-entropy SDP on A (x) C that max_entropy solves for criterion 8's seed-0 trial-19 state (n = 36, m = 729)."""
+    state = cq_to_density(_ensembles(0, 20)[19])
+    amp = purify(state.rho).amplitudes.reshape(state.d_A, state.d_B, -1)
+    d_a, d_c = state.d_A, amp.shape[2]
+    rho_ac = np.einsum("abc,dbe->acde", amp, amp.conj()).reshape(d_a * d_c, d_a * d_c)
+    return _min_entropy_problem(rho_ac, d_a, d_c)
 
 
 def double_domination_problem(m1: np.ndarray, m2: np.ndarray) -> HermitianSdp:
@@ -182,8 +192,11 @@ class TestSolve:
         sol = solve(hmin_problem(11))
         assert sol.status == "max_iterations"
 
-    def test_weak_duality_holds_for_every_status(self, monkeypatch):
-        p = hmin_problem(15)
+    @pytest.mark.parametrize("problem", ["hmin3", "hmin7", "hmin11", "hmin15", "crit8_purified"])
+    def test_weak_duality_holds_for_every_status(self, monkeypatch, problem):
+        # the dual starts infeasible, so a capped solve is the one that can end with tr(Y) above its
+        # primal value: the centering must hold the iterates back while the dual residual is large
+        p = crit8_purified_problem() if problem == "crit8_purified" else hmin_problem(int(problem[4:]))
         for cap in (1, 3, 5, 200):
             monkeypatch.setattr(sdp, "MAX_ITERATIONS", cap)
             sol = solve(p)
@@ -463,14 +476,14 @@ class TestMaxStep:
             sdp._max_step(s, d, expected)
 
     def test_solve_factors_only_the_steps_it_takes(self, monkeypatch):
-        # per completed iteration: the predictor's two lengths are estimated
-        # only, both from one scaled spectrum, the corrector's two are
-        # factor-verified (each on an estimate of its own); every n x n
-        # Cholesky call comes from _max_step (m = 9 differs from n = 6)
+        # per completed iteration: the predictor's step is not measured, and
+        # the corrector's two are factor-verified, each on an estimate from a
+        # scaled spectrum of its own; every n x n Cholesky call comes from
+        # _max_step (m = 9 differs from n = 6)
         p = _min_entropy_problem(random_density(6, 64).mat, 2, 3)
         n = p.dim
         calls = {"estimate": 0, "max_step": 0, "outside": 0}
-        estimate, max_step, cholesky = sdp._scaled_eigvalsh, sdp._max_step, np.linalg.cholesky
+        estimate, max_step, cholesky = sdp._step_estimate, sdp._max_step, np.linalg.cholesky
         inside = []
 
         def counted_estimate(*args):
@@ -489,13 +502,13 @@ class TestMaxStep:
             calls["outside"] += a.shape == (n, n) and not inside
             return cholesky(a, *args, **kwargs)
 
-        monkeypatch.setattr(sdp, "_scaled_eigvalsh", counted_estimate)
+        monkeypatch.setattr(sdp, "_step_estimate", counted_estimate)
         monkeypatch.setattr(sdp, "_max_step", counted_max_step)
         monkeypatch.setattr(np.linalg, "cholesky", watched_cholesky)
         sol = solve(p)
         assert sol.status == "optimal"
         steps = sol.iterations - 1  # the last iteration stops before stepping
-        assert calls == {"estimate": 3 * steps, "max_step": 2 * steps, "outside": 0}
+        assert calls == {"estimate": 2 * steps, "max_step": 2 * steps, "outside": 0}
 
     def test_solve_inverts_no_iterate_factor(self, monkeypatch):
         # step lengths and Z^-1 are read in the NT-scaled frame, and the two
@@ -573,23 +586,24 @@ class TestCorrector:
 
     @pytest.mark.parametrize("n,seed", [(2, 90), (5, 91), (9, 92)])
     def test_affine_step_reads_in_the_frame_from_one_spectrum(self, n, seed):
-        # dXa = -X - W dZa W reads -diag(lam) - G† dZa G: its scaled spectrum is
-        # -1 less that of dZa, and tr((Z + ad dZa)(X + ap dXa)) reads in the frame
+        # dXa = -X - W dZa W reads -diag(lam) - G† dZa G, the factor the second-order
+        # term takes for G^-1 dXa G^-†; its scaled spectrum is -1 less that of dZa
         rand = TestConstraintCoords.random_hermitian
         x, z = rand(n, seed) + 0.1 * np.eye(n), rand(n, seed + 10) + 0.1 * np.eye(n)
         dz = rand(n, seed + 20) - 2.0 * rand(n, seed + 30)
         g, lam = sdp._nt_scaling(np.linalg.cholesky(x), z)
+        g_inv = np.linalg.inv(g)
         w = g @ g.conj().T
         dx = -x - w @ dz @ w
         sz = g.conj().T @ dz @ g
         sx = -np.diag(lam) - sz
-        wa = sdp._scaled_eigvalsh(lam, sz)
-        assert sdp._scaled_eigvalsh(lam, sx) == pytest.approx(-1.0 - wa[::-1], rel=1e-10, abs=1e-10)
-        assert sdp._step_length(-1.0 - wa[-1]) == pytest.approx(sdp._step_estimate(lam, sx), rel=1e-10)
-        for ap, ad in ((0.3, 0.7), (1.0, 0.05)):
-            want = np.vdot(z + ad * dz, x + ap * dx).real
-            got = np.vdot(np.diag(lam) + ad * sz, np.diag(lam) + ap * sx).real
-            assert got == pytest.approx(want, rel=1e-10, abs=1e-10 * np.abs(lam).max() ** 2)
+        want = g_inv @ dx @ g_inv.conj().T
+        assert np.max(np.abs(sx - want)) <= 1e-10 * np.max(np.abs(want))
+        r = lam**-0.5
+        wa = np.linalg.eigvalsh(r[:, None] * sz * r)
+        assert np.linalg.eigvalsh(r[:, None] * sx * r) == pytest.approx(-1.0 - wa[::-1], rel=1e-10, abs=1e-10)
+        want_step = min(1.0, sdp.STEP_FRACTION / (1.0 + wa[-1])) if wa[-1] > -1.0 else 1.0
+        assert sdp._step_estimate(lam, sx) == pytest.approx(want_step, rel=1e-10)
 
     @pytest.mark.parametrize("cap", [3, 200])
     def test_each_iterate_is_measured_once(self, monkeypatch, cap):
@@ -616,8 +630,10 @@ class TestCorrector:
     def test_iteration_counts(self):
         # without the second-order term these solves take 21 and 10
         # iterations, with it 15 and 9, from the feasible start with
-        # STEP_FRACTION 0.97, 12 and 8, and with CENTERING_EXPONENT 1.25 (3
-        # before), 11 and 8 (OpenBLAS 0.3.31, one or two threads)
+        # STEP_FRACTION 0.97, 12 and 8, with Mehrotra's centering exponent at
+        # 1.25 (3 before), 11 and 8, and with the centering read from the
+        # dual residual and STEP_FRACTION 0.98, 11 and 8 (OpenBLAS 0.3.31,
+        # one or two threads)
         crit8 = cq_to_density(_ensembles(0, 20)[19])  # criterion 8, seed 0, trial 19
         assert max_entropy(crit8).certificate.iterations <= 12
         phi = np.zeros(4)
