@@ -47,7 +47,19 @@ from .sdp import SolverError
 
 __all__ = ["main", "run"]
 
-_SEED = ("--seed", {"type": int, "default": 0})
+
+def _seed(text: str) -> int:
+    """A --seed value: numpy's generators take only non-negative integers."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
+_SEED = ("--seed", {"type": _seed, "default": 0})
 _STATE = ("--input", {"required": True, "help": "bipartite state file"})
 
 # input kind: the verb's arguments after --format

@@ -196,6 +196,9 @@ class PureState:
         amp = np.asarray(self.amplitudes, dtype=complex)
         if amp.ndim != 1 or amp.size < 1:
             raise ValueError("amplitudes must be a nonempty vector")
+        # a NaN norm compares false against the norm bound, so test it first
+        if not np.all(np.isfinite(amp)):
+            raise ValueError("amplitudes have non-finite entries")
         norm = float(np.linalg.norm(amp))
         if abs(norm - 1.0) > NORM_ATOL:
             raise ValueError(f"state vector has norm {norm!r}, expected 1")
@@ -221,9 +224,10 @@ def _partial_trace_mat(mat: np.ndarray, d_A: int, d_B: int, keep: str) -> np.nda
 def _support_cut(w: np.ndarray) -> float:
     """10 d eps times the largest of the d eigenvalues w: above the eigensolver's rounding level.
 
-    Every support (purify, root_fidelity, max_relative_entropy) drops only
-    eigenvalues at or below this cut: a fidelity is only 1/2-Hoelder in the
-    state, so a dropped eigenvalue delta would move it by about sqrt(delta).
+    Every support _psd_factor takes (in purify, root_fidelity and the
+    decoupling readout) drops only eigenvalues at or below this cut: a
+    fidelity is only 1/2-Hoelder in the state, so a dropped eigenvalue
+    delta would move it by about sqrt(delta).
     """
     return 10 * len(w) * np.finfo(float).eps * max(float(np.max(w)), 0.0)
 

@@ -40,7 +40,6 @@ from .core import (
     _partial_trace_mat,
     _psd_factor,
     _root_fidelity_mats,
-    _support_cut,
     cq_to_density,
     maximally_entangled,
     purify,
@@ -50,7 +49,6 @@ from .sdp import SdpSolution, SolverError
 __all__ = [
     "EntropyReport",
     "RecoveryCertificate",
-    "max_relative_entropy",
     "min_entropy",
     "max_entropy",
     "guessing_probability",
@@ -62,7 +60,6 @@ __all__ = [
     "closed_form_entropies",
 ]
 
-SUPPORT_LEAK_ATOL = 1e-9
 PRODUCT_ATOL = 1e-9
 PURE_ATOL = 1e-9
 
@@ -95,36 +92,6 @@ class RecoveryCertificate:
     channel: ChoiMatrix
     achieved_overlap: float
     predicted: float
-
-
-def max_relative_entropy(tau: HermitianOperator, tau_prime: HermitianOperator) -> float:
-    """Smallest lam with tau <= 2^lam * tau_prime in the semidefinite order.
-
-    Equals log2 of the largest eigenvalue of P t'^(-1/2) tau t'^(-1/2) P
-    with P the support projector of tau_prime, which drops only eigenvalues
-    at the eigensolver's rounding level (as purify and root_fidelity do);
-    +inf when the support of tau leaks out of the support of tau_prime by
-    more than 1e-9 in trace.
-    """
-    if tau.dim != tau_prime.dim:
-        raise ValueError("operators must have equal dimensions")
-    for name, op in (("tau", tau), ("tau_prime", tau_prime)):
-        ev = float(_eigh(op.mat, vectors=False)[0])
-        if ev < -SUPPORT_LEAK_ATOL:
-            raise ValueError(f"{name} has eigenvalue {ev:.3e}, not positive semidefinite")
-    w, v = _eigh(tau_prime.mat)
-    w = np.clip(w, 0.0, None)
-    support = w > _support_cut(w)
-    leak = float(np.trace(tau.mat).real) - float(
-        np.einsum("ij,jk,ki->", v[:, support].conj().T, tau.mat, v[:, support]).real
-    )
-    if leak > SUPPORT_LEAK_ATOL:
-        return math.inf
-    inv_sqrt = (v[:, support] * w[support] ** -0.5) @ v[:, support].conj().T
-    lam_max = float(_eigh(inv_sqrt @ tau.mat @ inv_sqrt, vectors=False)[-1])
-    if lam_max <= 0.0:
-        return -math.inf
-    return math.log2(lam_max)
 
 
 def _min_entropy_problem(rho: np.ndarray, d_a: int, d_b: int) -> sdp.HermitianSdp:

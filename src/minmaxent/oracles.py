@@ -24,7 +24,6 @@ __all__ = [
     "helstrom_guess_probability",
     "min_entropy_direct_search",
     "sampled_target_fidelity",
-    "haar_isometry",
 ]
 
 

@@ -50,9 +50,6 @@ __all__ = [
     "SolverError",
     "solve",
     "check_certificate",
-    "STATUS_OPTIMAL",
-    "STATUS_MAX_ITERATIONS",
-    "STATUS_NUMERICAL_FAILURE",
 ]
 
 STATUS_OPTIMAL = "optimal"
@@ -141,7 +138,8 @@ class SdpSolution:
     Re <y, b - A(X)>; it coincides with tr(C X) up to rounding whenever
     the constraint residual is at rounding level, and stays an accurate
     optimum estimate when a degenerate face leaves a small residual floor
-    that large multipliers would otherwise amplify.
+    that large multipliers would otherwise amplify.  gap is derived from
+    the two values, so it cannot disagree with them.
     """
 
     X_star: HermitianOperator
@@ -149,9 +147,12 @@ class SdpSolution:
     Z_star: HermitianOperator
     primal_value: float
     dual_value: float
-    gap: float
     status: str
     iterations: int
+
+    @property
+    def gap(self) -> float:
+        return self.primal_value - self.dual_value
 
 
 @dataclass(frozen=True)
@@ -321,7 +322,6 @@ def solve(problem: HermitianSdp) -> SdpSolution:
         Z_star=HermitianOperator(z),
         primal_value=pv,
         dual_value=dv,
-        gap=pv - dv,
         status=status,
         iterations=iterations,
     )

@@ -361,6 +361,16 @@ def test_unknown_verb_rejected():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("verb", ["gen", "verify"])
+def test_negative_seed_rejected_at_parse_time(verb, tmp_path, capsys):
+    # numpy's generators refuse a negative seed deep in the call; the parser names the flag
+    with pytest.raises(SystemExit) as exc:
+        run([verb, "--seed", "-1"] + (["--input", str(tmp_path / "lib")] if verb == "gen" else []))
+    assert exc.value.code == 2
+    assert "argument --seed: expected a non-negative integer, got '-1'" in capsys.readouterr().err
+    assert not (tmp_path / "lib").exists()
+
+
 def test_verify_small(capsys):
     code = run(["verify", "--seed", "7", "--trials", "1", "--format", "json"])
     out = json.loads(capsys.readouterr().out)

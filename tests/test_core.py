@@ -93,6 +93,10 @@ class TestTypes:
     def test_pure_state_norm(self):
         with pytest.raises(ValueError):
             PureState(np.array([1.0, 1.0]))
+        # a NaN norm is not more than NORM_ATOL from 1, so finiteness is tested on its own
+        for bad in ([np.nan, 1.0], [np.nan, np.nan], [np.inf, 0.0], [1.0, complex(0.0, np.nan)]):
+            with pytest.raises(ValueError, match="non-finite"):
+                PureState(np.array(bad))
 
     def test_values_are_immutable(self):
         h = rand_herm(3, 5)
@@ -338,7 +342,7 @@ PACKAGE_API = {
     "check_certificate", "closed_form_entropies", "cq_to_density", "decoupling_accuracy",
     "ensemble_from_json", "ensemble_to_json", "guessing_probability",
     "helstrom_guess_probability", "key_secrecy", "key_secrecy_block",
-    "load_ensemble", "load_state", "max_entropy", "max_relative_entropy", "max_target_fidelity",
+    "load_ensemble", "load_state", "max_entropy", "max_target_fidelity",
     "maximally_entangled", "min_entropy", "min_entropy_direct_search", "purify", "random_density",
     "root_fidelity", "sampled_target_fidelity", "save_ensemble", "save_state", "singlet_fraction",
     "solve", "state_from_json", "state_to_json",

@@ -237,7 +237,6 @@ class TestCertificate:
             Z_star=sol.Z_star,
             primal_value=sol.primal_value,
             dual_value=sol.dual_value,
-            gap=sol.gap,
             status=sol.status,
             iterations=sol.iterations,
         )
@@ -253,7 +252,6 @@ class TestCertificate:
             Z_star=sol.Z_star,
             primal_value=sol.primal_value,
             dual_value=sol.primal_value + 1e-5,
-            gap=-1e-5,
             status=sol.status,
             iterations=sol.iterations,
         )
@@ -360,7 +358,6 @@ class TestConstraintCoords:
             Z_star=herm(self.random_hermitian(n, 44) - 0.5 * np.eye(n)),
             primal_value=0.3,
             dual_value=0.4,
-            gap=-0.1,
             status=sdp.STATUS_MAX_ITERATIONS,
             iterations=3,
         )
