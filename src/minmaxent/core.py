@@ -301,8 +301,9 @@ def random_density(d: int, seed: int, rank: int | None = None) -> DensityOperato
 
     G has independent standard complex Gaussian entries drawn from
     numpy's PCG64 generator (numpy.random.default_rng), so identical
-    seeds give identical matrices on every platform.  An optional rank
-    caps the number of Ginibre columns, giving a rank-deficient state.
+    seeds (a non-negative int or a tuple of them) give identical matrices
+    on every platform.  An optional rank caps the number of Ginibre
+    columns, giving a rank-deficient state; rank 1 draws a Haar-random pure state.
     """
     if d < 1:
         raise ValueError("dimension must be positive")

@@ -170,7 +170,8 @@ def sampled_target_fidelity(
     Channels are Haar-random isometries from B into A' tensor an ancilla
     of dimension d_A, followed by tracing the ancilla.  Two deterministic
     baselines are always included: trace-and-prepare the maximally mixed
-    state, and (when d_B = d_A) the identity channel.
+    state, and (when d_B = d_A) the identity channel.  The seed is a
+    non-negative int or a tuple of them, as for numpy's default_rng.
     """
     d_a, d_b = state.d_A, state.d_B
     if target.dim != d_a * d_a:
@@ -182,8 +183,7 @@ def sampled_target_fidelity(
     # trace-and-prepare tau baseline: output rho_A (x) id/d_A
     best = float(np.einsum("ab,cd,ac,bd->", tmat.conj(), tmat, rho_a, np.eye(d_a) / d_a).real)
     if d_b == d_a:
-        red = rho.reshape(d_a * d_b, d_a * d_b)
-        best = max(best, float((tvec.conj() @ red @ tvec).real))
+        best = max(best, float((tvec.conj() @ rho @ tvec).real))
     rng = np.random.default_rng(seed)
     d_e = d_a
     for _ in range(samples):

@@ -5,6 +5,11 @@ Each criterion draws seeded instances at desk scale (dimensions at most
 closed form, and emits one OracleReport row per check.  The CLI verify
 command and the acceptance test suite both run these functions, so the
 shell and pytest always agree on what was checked.
+
+Criterion c at seed s draws its trial t from default_rng((s, c, t)), or
+from (s, c, t, part) where a trial draws several matrices, so no two
+criteria share an instance.  A criterion keeps one key length: numpy's
+SeedSequence reads (..., t) and (..., t, 0) as the same seed.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from .entropy import (
 )
 from .oracles import (
     OracleReport,
+    haar_isometry,
     helstrom_guess_probability,
     min_entropy_direct_search,
     sampled_target_fidelity,
@@ -46,6 +52,7 @@ from .oracles import (
 __all__ = ["CriterionResult", "CRITERIA", "run_criterion", "run_all"]
 
 _DIMS = [(2, 2), (2, 3), (3, 2), (3, 3)]
+Key = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -59,25 +66,21 @@ class CriterionResult:
         return all(r.passed for r in self.reports)
 
 
-def _states(seed: int, trials: int) -> list[BipartiteState]:
+def _states(key: Key, trials: int) -> list[BipartiteState]:
     out = []
     for i in range(trials):
         d_a, d_b = _DIMS[i % 4]
-        out.append(BipartiteState(random_density(d_a * d_b, 7919 * seed + i), d_a, d_b))
+        out.append(BipartiteState(random_density(d_a * d_b, (*key, i)), d_a, d_b))
     return out
 
 
-def _ensembles(seed: int, trials: int, binary: bool = False) -> list[CqEnsemble]:
+def _ensembles(key: Key, trials: int, binary: bool = False) -> list[CqEnsemble]:
     out = []
     for i in range(trials):
         k, d_b = (2, [2, 3][i % 2]) if binary else _DIMS[i % 4]
-        rng = np.random.default_rng(104729 * seed + i)
-        probs = 0.1 + rng.random(k)
-        probs /= probs.sum()
-        states = tuple(
-            random_density(d_b, 224737 * seed + 31 * i + x) for x in range(k)
-        )
-        out.append(CqEnsemble(probs, states))
+        probs = 0.1 + np.random.default_rng((*key, i, 0)).random(k)
+        states = tuple(random_density(d_b, (*key, i, 1 + x)) for x in range(k))
+        out.append(CqEnsemble(probs / probs.sum(), states))
     return out
 
 
@@ -89,15 +92,12 @@ def _pair_state(s1: BipartiteState, s2: BipartiteState) -> BipartiteState:
     return BipartiteState(DensityOperator.from_matrix(mat), a1 * a2, b1 * b2)
 
 
-def _full_rank_target(d: int, seed: int) -> PureState:
-    """Random pure state on A (x) A' with all Schmidt coefficients >= 0.1."""
+def _full_rank_target(d: int, seed: int | Key) -> PureState:
+    """Random pure state on A (x) A' with Schmidt coefficients >= 0.1; seed is an int or a tuple of ints."""
     rng = np.random.default_rng(seed)
     lam = 0.2 + rng.random(d)
     lam /= lam.sum()
-    gu = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    gv = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    u = np.linalg.qr(gu)[0]
-    v = np.linalg.qr(gv)[0]
+    u, v = haar_isometry(d, d, rng), haar_isometry(d, d, rng)
     amp = (u * np.sqrt(lam)) @ v.T
     return PureState(amp.reshape(-1))
 
@@ -116,9 +116,9 @@ def _row(
     return OracleReport(quantity, oracle, main, gap, method, tolerance)
 
 
-def _crit_zero_gap(seed: int, trials: int) -> list[OracleReport]:
+def _crit_zero_gap(key: Key, trials: int) -> list[OracleReport]:
     rows = []
-    for i, state in enumerate(_states(seed, trials)):
+    for i, state in enumerate(_states(key, trials)):
         cert = min_entropy(state).certificate
         pv, dv = cert.primal_value, cert.dual_value
         tag = f"gap.t{i:02d}.{state.d_A}x{state.d_B}"
@@ -126,9 +126,9 @@ def _crit_zero_gap(seed: int, trials: int) -> list[OracleReport]:
     return rows
 
 
-def _crit_guessing(seed: int, trials: int) -> list[OracleReport]:
+def _crit_guessing(key: Key, trials: int) -> list[OracleReport]:
     rows = []
-    for i, ens in enumerate(_ensembles(seed, trials, binary=True)):
+    for i, ens in enumerate(_ensembles(key, trials, binary=True)):
         p0, (rho0, rho1) = float(ens.probs[0]), ens.cond_states
         oracle = helstrom_guess_probability(p0, rho0, rho1)
         value, povm = guessing_probability(ens)
@@ -151,20 +151,17 @@ def _crit_guessing(seed: int, trials: int) -> list[OracleReport]:
     return rows
 
 
-def _crit_recovery(seed: int, trials: int) -> list[OracleReport]:
+def _crit_recovery(key: Key, trials: int) -> list[OracleReport]:
     rows = []
-    for i, state in enumerate(_states(seed, trials)):
-        if state.d_A > state.d_B:
-            continue
+    for i, state in enumerate(_states(key, trials)):
         value, cert = singlet_fraction(state)
         choi = cert.channel
         ev_min = float(_eigh(choi.op.mat, vectors=False)[0])
         t = choi.op.mat.reshape(choi.d_in, choi.d_out, choi.d_in, choi.d_out)
         tp_res = float(np.max(np.abs(np.einsum("iaja->ij", t) - np.eye(choi.d_in))))
         tag = f"t{i:02d}.{state.d_A}x{state.d_B}"
-        cp_gap = max(0.0, -ev_min)
         rows.append(
-            _row(f"recovery_cp.{tag}", 0.0, ev_min, "smallest Choi eigenvalue", 1e-8, gap=cp_gap)
+            _row(f"recovery_cp.{tag}", 0.0, ev_min, "smallest Choi eigenvalue", 1e-8, gap=max(0.0, -ev_min))
         )
         rows.append(_row(f"recovery_tp.{tag}", 0.0, tp_res, "partial-trace residual", 1e-8))
         achieved = state.d_A * cert.achieved_overlap
@@ -174,9 +171,9 @@ def _crit_recovery(seed: int, trials: int) -> list[OracleReport]:
     return rows
 
 
-def _crit_decoupling(seed: int, trials: int) -> list[OracleReport]:
+def _crit_decoupling(key: Key, trials: int) -> list[OracleReport]:
     rows = []
-    for i, state in enumerate(_states(seed, trials)):
+    for i, state in enumerate(_states(key, trials)):
         hmax, amp = _max_entropy_purified(state)
         value, _ = _decoupling_at_optimizer(hmax, amp)
         rows.append(
@@ -191,32 +188,27 @@ def _crit_decoupling(seed: int, trials: int) -> list[OracleReport]:
     return rows
 
 
-def _product_state(seed: int, i: int, d_a: int, d_b: int) -> BipartiteState:
-    rho_a = random_density(d_a, 7129 * seed + 2 * i)
-    rho_b = random_density(d_b, 7129 * seed + 2 * i + 1)
+def _closed_form_state(case: str, key: Key, d_a: int, d_b: int) -> BipartiteState:
+    """rho_A (x) rho_B from parts 0 and 1 of key, or a Haar-random pure state from part 2."""
+    if case == "pure":
+        return BipartiteState(random_density(d_a * d_b, (*key, 2), rank=1), d_a, d_b)
+    rho_a, rho_b = random_density(d_a, (*key, 0)), random_density(d_b, (*key, 1))
     return BipartiteState(DensityOperator.from_matrix(np.kron(rho_a.mat, rho_b.mat)), d_a, d_b)
 
 
-def _pure_state(seed: int, i: int, d_a: int, d_b: int) -> BipartiteState:
-    rng = np.random.default_rng(15013 * seed + i)
-    amp = rng.standard_normal(d_a * d_b) + 1j * rng.standard_normal(d_a * d_b)
-    amp /= np.linalg.norm(amp)
-    return BipartiteState(DensityOperator.from_matrix(np.outer(amp, amp.conj())), d_a, d_b)
-
-
-# (case, state maker, H_min oracle method, H_max oracle method)
+# (case, H_min oracle method, H_max oracle method)
 _CLOSED_FORM_CASES = (
-    ("product", _product_state, "largest marginal eigenvalue", "2 log2 tr sqrt of marginal"),
-    ("pure", _pure_state, "squared tr sqrt of marginal", "largest marginal eigenvalue"),
+    ("product", "largest marginal eigenvalue", "2 log2 tr sqrt of marginal"),
+    ("pure", "squared tr sqrt of marginal", "largest marginal eigenvalue"),
 )
 
 
-def _crit_closed_forms(seed: int, trials: int) -> list[OracleReport]:
+def _crit_closed_forms(key: Key, trials: int) -> list[OracleReport]:
     rows = []
     entropies = (("hmin", min_entropy), ("hmax", max_entropy))
-    for case, make, *methods in _CLOSED_FORM_CASES:
+    for case, *methods in _CLOSED_FORM_CASES:
         for i in range(trials):
-            state = make(seed, i, *_DIMS[i % 4])
+            state = _closed_form_state(case, (*key, i), *_DIMS[i % 4])
             closed = closed_form_entropies(state, case)
             for (name, entropy), oracle, method in zip(entropies, closed, methods):
                 main = entropy(state).value_bits
@@ -229,16 +221,13 @@ def _crit_closed_forms(seed: int, trials: int) -> list[OracleReport]:
     return rows
 
 
-def _crit_additivity(seed: int, trials: int) -> list[OracleReport]:
+def _crit_additivity(key: Key, trials: int) -> list[OracleReport]:
     rows = []
     for i in range(trials):
         # rank-2 factors keep the purifying system of the joint H_max state small
-        for k, (name, entropy, rank) in enumerate(
-            (("hmin", min_entropy, None), ("hmax", max_entropy, 2))
-        ):
-            base = 3851 * seed + 4 * i + 2 * k
-            s1 = BipartiteState(random_density(4, base, rank=rank), 2, 2)
-            s2 = BipartiteState(random_density(4, base + 1, rank=rank), 2, 2)
+        for k, (name, entropy, rank) in enumerate((("hmin", min_entropy, None), ("hmax", max_entropy, 2))):
+            s1 = BipartiteState(random_density(4, (*key, i, 2 * k), rank=rank), 2, 2)
+            s2 = BipartiteState(random_density(4, (*key, i, 2 * k + 1), rank=rank), 2, 2)
             total = entropy(_pair_state(s1, s2)).value_bits
             parts = entropy(s1).value_bits + entropy(s2).value_bits
             rows.append(
@@ -247,10 +236,10 @@ def _crit_additivity(seed: int, trials: int) -> list[OracleReport]:
     return rows
 
 
-def _crit_strong_subadditivity(seed: int, trials: int) -> list[OracleReport]:
+def _crit_strong_subadditivity(key: Key, trials: int) -> list[OracleReport]:
     rows = []
     for i in range(trials):
-        rho = random_density(8, 27583 * seed + i)
+        rho = random_density(8, (*key, i))
         h_abc = min_entropy(BipartiteState(rho, 2, 4)).value_bits
         rho_ab = _partial_trace_mat(rho.mat, 4, 2, "A")
         h_ab = min_entropy(BipartiteState(DensityOperator.from_matrix(rho_ab), 2, 2)).value_bits
@@ -267,9 +256,9 @@ def _crit_strong_subadditivity(seed: int, trials: int) -> list[OracleReport]:
     return rows
 
 
-def _crit_key_secrecy(seed: int, trials: int) -> list[OracleReport]:
+def _crit_key_secrecy(key: Key, trials: int) -> list[OracleReport]:
     rows = []
-    for i, ens in enumerate(_ensembles(seed, trials)):
+    for i, ens in enumerate(_ensembles(key, trials)):
         joint = cq_to_density(ens)
         hmax, amp = _max_entropy_purified(joint)
         _, sigma = _decoupling_at_optimizer(hmax, amp)
@@ -281,20 +270,20 @@ def _crit_key_secrecy(seed: int, trials: int) -> list[OracleReport]:
     return rows
 
 
-def _crit_target_fidelity(seed: int, trials: int) -> list[OracleReport]:
+def _crit_target_fidelity(key: Key, trials: int) -> list[OracleReport]:
     rows = []
     for i in range(trials):
-        state = BipartiteState(random_density(4, 9377 * seed + i), 2, 2)
+        state = BipartiteState(random_density(4, (*key, i, 0)), 2, 2)
         best = max_target_fidelity(state, maximally_entangled(2))
         value, _ = singlet_fraction(state)
         rows.append(
             _row(f"target_entangled.t{i:02d}", value / 2.0, best, "singlet fraction route", 1e-7)
         )
     for i in range(trials):
-        state = BipartiteState(random_density(4, 9377 * seed + 100 + i), 2, 2)
-        target = _full_rank_target(2, 13903 * seed + i)
+        state = BipartiteState(random_density(4, (*key, i, 1)), 2, 2)
+        target = _full_rank_target(2, (*key, i, 2))
         best = max_target_fidelity(state, target)
-        sampled = sampled_target_fidelity(state, target, samples=200, seed=17389 * seed + i)
+        sampled = sampled_target_fidelity(state, target, samples=200, seed=(*key, i, 3))
         rows.append(
             _row(
                 f"target_sampled.t{i:02d}",
@@ -308,11 +297,11 @@ def _crit_target_fidelity(seed: int, trials: int) -> list[OracleReport]:
     return rows
 
 
-def _crit_direct_search(seed: int, trials: int) -> list[OracleReport]:
+def _crit_direct_search(key: Key, trials: int) -> list[OracleReport]:
     rows = []
     for i in range(trials):
         d_a = [2, 3][i % 2]
-        state = BipartiteState(random_density(2 * d_a, 20011 * seed + i), d_a, 2)
+        state = BipartiteState(random_density(2 * d_a, (*key, i)), d_a, 2)
         search_bits = -math.log2(min_entropy_direct_search(state))
         hmin = min_entropy(state).value_bits
         rows.append(
@@ -347,7 +336,7 @@ def run_criterion(index: int, seed: int = 0, trials: int | None = None) -> Crite
     for idx, title, default_trials, func in CRITERIA:
         if idx == index:
             n = default_trials if trials is None else trials
-            return CriterionResult(index=idx, title=title, reports=tuple(func(seed, n)))
+            return CriterionResult(index=idx, title=title, reports=tuple(func((seed, idx), n)))
     raise ValueError(f"no criterion with index {index}")
 
 

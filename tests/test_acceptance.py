@@ -4,17 +4,18 @@ One test per criterion, run at the full trial counts through the same
 runner the CLI verify command uses; each prints a PASS/FAIL line (visible
 with -s, and mirrored by the test name in verbose mode) and fails with
 the offending rows listed.  Each also counts the SDP solves its criterion
-runs and requires every one to end optimal.
+runs and requires every one to end optimal.  A last test checks that
+run_all's criteria never re-solve one another's instances.
 """
 
 import pytest
 
 from minmaxent import sdp
-from minmaxent.verify import run_criterion
+from minmaxent.verify import run_all, run_criterion
 
 SEED = 0
-# SDP solves per criterion at SEED, one per trial: 400 in all
-SOLVES = {1: 50, 2: 21, 3: 38, 4: 50, 5: 86, 6: 60, 7: 40, 8: 20, 9: 30, 10: 5}
+# SDP solves per criterion at SEED, one per trial: 412 in all
+SOLVES = {1: 50, 2: 21, 3: 50, 4: 50, 5: 86, 6: 60, 7: 40, 8: 20, 9: 30, 10: 5}
 
 
 @pytest.fixture(autouse=True)
@@ -83,3 +84,17 @@ def test_criterion_09_target_fidelity(solves):
 
 def test_criterion_10_direct_search_bracket(solves):
     _run(10, solves)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_no_two_solves_share_an_objective(seed, solves, monkeypatch):
+    # each criterion draws its own instances, so every solve of run_all is a new problem
+    objectives, solve = [], sdp.solve
+
+    def recorded(problem):
+        objectives.append((problem.d_A, problem.d_B, problem.objective.mat.tobytes()))
+        return solve(problem)
+
+    monkeypatch.setattr(sdp, "solve", recorded)
+    run_all(seed, trials=4)
+    assert len(set(objectives)) == len(objectives) == len(solves)

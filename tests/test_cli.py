@@ -510,10 +510,11 @@ def test_run_criterion_rejects_nonpositive_trials():
 @pytest.mark.parametrize("shift", ["incomplete", "not_psd"])
 def test_guessing_povm_row_checks_the_povm_from_scratch(monkeypatch, shift):
     # the solve's value stays; only the POVM it returns is spoiled, by 1e-3 * id_B
-    guess = verify_mod.guessing_probability
+    guess, unspoiled = verify_mod.guessing_probability, []
 
     def spoiled(ens):
         value, povm = guess(ens)
+        unspoiled.append(povm)
         delta = 1e-3 * np.eye(ens.d_B)
         e0, e1 = povm[0].mat + delta, povm[1].mat - (delta if shift == "not_psd" else 0.0)
         return value, [HermitianOperator(e0), HermitianOperator(e1)]
@@ -521,7 +522,12 @@ def test_guessing_povm_row_checks_the_povm_from_scratch(monkeypatch, shift):
     monkeypatch.setattr(verify_mod, "guessing_probability", spoiled)
     rows = {r.quantity: r for r in verify_mod.run_criterion(2, trials=1).reports}
     assert rows["pguess.t00"].passed and not rows["pguess.povm.t00"].passed
-    assert rows["pguess.povm.t00"].gap >= 1e-3 - 1e-9
+    gap = rows["pguess.povm.t00"].gap
+    if shift == "not_psd":
+        # the least eigenvalue of E_1 - 1e-3 id_B is 1e-3 below that of the optimal E_1
+        assert gap == pytest.approx(1e-3 - np.linalg.eigvalsh(unspoiled[0][1].mat)[0], abs=1e-12)
+    else:
+        assert gap >= 1e-3 - 1e-9
 
 
 def test_verify_nonpositive_trials_exits_2(capsys):
