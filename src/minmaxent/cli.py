@@ -48,18 +48,24 @@ from .sdp import SolverError
 __all__ = ["main", "run"]
 
 
-def _seed(text: str) -> int:
-    """A --seed value: numpy's generators take only non-negative integers."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return value
+def _int_from(low: int, kind: str):
+    """An argument type for integers of at least low, rejected at parse time under the flag's name."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
+        return value
+
+    return parse
 
 
-_SEED = ("--seed", {"type": _seed, "default": 0})
+# numpy's generators take only non-negative seeds
+_SEED = ("--seed", {"type": _int_from(0, "non-negative"), "default": 0})
+_TRIALS = ("--trials", {"type": _int_from(1, "positive"), "help": "override per-criterion trial counts"})
 _STATE = ("--input", {"required": True, "help": "bipartite state file"})
 
 # input kind: the verb's arguments after --format
@@ -71,10 +77,7 @@ _INPUTS = {
         ("--target", {"required": True, "help": "pure target state file (projector)"}),
     ),
     "library": (("--input", {"default": ".", "help": "output directory for the library"}), _SEED),
-    "checks": (
-        _SEED,
-        ("--trials", {"type": int, "default": None, "help": "override per-criterion trial counts"}),
-    ),
+    "checks": (_SEED, _TRIALS),
 }
 
 
@@ -134,7 +137,9 @@ def _gen(args: argparse.Namespace) -> dict:
     ketp = DensityOperator.from_matrix(np.full((2, 2), 0.5))
     amp = np.zeros(4, dtype=complex)
     amp[0], amp[3] = math.sqrt(0.7), math.sqrt(0.3)
-    cq_states = (random_density(2, args.seed + 1), random_density(2, args.seed + 2))
+    # each random state has its own key (seed, k), k = 0..4, all of one length: numpy's
+    # SeedSequence reads (s, k) and (s, k, 0) as one seed
+    cq_states = (random_density(2, (args.seed, 3)), random_density(2, (args.seed, 4)))
     library = [
         *(
             (f"phi{d}.json", BipartiteState(DensityOperator(maximally_entangled(d).projector()), d, d))
@@ -143,8 +148,8 @@ def _gen(args: argparse.Namespace) -> dict:
         ("product_2x2.json", BipartiteState(DensityOperator.from_matrix(np.kron(tau2, tau2)), 2, 2)),
         ("helstrom.json", CqEnsemble(np.array([0.5, 0.5]), (ket0, ketp))),
         *(
-            (f"random_{d_a}x{d_b}.json", BipartiteState(random_density(d_a * d_b, args.seed), d_a, d_b))
-            for d_a, d_b in ((2, 2), (2, 3), (3, 3))
+            (f"random_{d_a}x{d_b}.json", BipartiteState(random_density(d_a * d_b, (args.seed, k)), d_a, d_b))
+            for k, (d_a, d_b) in enumerate(((2, 2), (2, 3), (3, 3)))
         ),
         ("cq_random_2x2.json", CqEnsemble(np.array([0.3, 0.7]), cq_states)),
         ("target_2.json", BipartiteState(DensityOperator(PureState(amp).projector()), 2, 2)),

@@ -112,7 +112,7 @@ def _hmin_report(quantity: str, rho: np.ndarray, d_a: int, d_b: int) -> EntropyR
     sol = sdp.solve(_min_entropy_problem(rho, d_a, d_b))
     if sol.status != sdp.STATUS_OPTIMAL:
         raise SolverError(f"min-entropy SDP: solver stopped with status {sol.status}", sol)
-    sigma = -sol.y_star.reshape(d_b, d_b)
+    sigma = -sol.Y_star.mat
     e_ab = sol.X_star.mat
     w, v = _eigh(_partial_trace_mat(e_ab, d_a, d_b, "B"))
     fix = np.kron(np.eye(d_a), (v * w**-0.5) @ v.conj().T)

@@ -4,8 +4,8 @@ Solves   minimize  tr(C X)  subject to  tr_A X = id_B,  X >= 0 on A (x) B
          (complex Hermitian positive semidefinite)
 
 with the dual: maximize tr(Y) s.t. Z = C - id_A (x) Y >= 0, Y the
-Hermitian multiplier of the matrix equality, stated entry by entry:
-A(X) = vec tr_A X, row-major, and A*(Y) = id_A (x) Y.  Every library
+Hermitian multiplier of the matrix equality: A(X) = tr_A X and
+A*(Y) = id_A (x) Y, both d_B x d_B matrices.  Every library
 solve is this one form: with C = -rho it is max{tr(rho E) : E >= 0,
 tr_A E = id_B}, whose Y is -sigma of min{tr sigma : id (x) sigma >= rho};
 the min-entropy, the guessing probability, the singlet fraction and the
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HermitianOperator, _eigh, _frozen, _partial_trace_mat
+from .core import HermitianOperator, _eigh, _partial_trace_mat
 
 __all__ = [
     "HermitianSdp",
@@ -89,9 +89,8 @@ class HermitianSdp:
     """The min-entropy SDP: minimize tr(C X) s.t. tr_A X = id_B, X >= 0, for X on A (x) B.
 
     A is the major index, so X is d_A x d_A blocks X_ab of size d_B and the
-    constraint is sum_a X_aa = id_B, the d_B^2 entries (sum_a X_aa)_jk = delta_jk.
-    y holds them row-major, as the entries of their Hermitian multiplier Y;
-    so n_constraints is d_B^2.
+    constraint is sum_a X_aa = id_B, the d_B^2 entries (sum_a X_aa)_jk = delta_jk;
+    so n_constraints is d_B^2, and their multiplier is a d_B x d_B Hermitian Y.
     """
 
     objective: HermitianOperator
@@ -106,20 +105,20 @@ class HermitianSdp:
         self.__dict__.update(dim=n, n_constraints=d_b * d_b, _shape=(d_a, d_b, d_a, d_b), _diag=np.arange(d_a))
 
     def _op(self, x: np.ndarray) -> np.ndarray:
-        """A(X) = vec tr_A X, row-major."""
-        return x.reshape(self._shape).trace(axis1=0, axis2=2).ravel()
+        """A(X) = tr_A X."""
+        return x.reshape(self._shape).trace(axis1=0, axis2=2)
 
     def _adj(self, y: np.ndarray) -> np.ndarray:
-        """A*(y) = id_A (x) Y: Y written onto each of the d_A diagonal blocks."""
+        """A*(Y) = id_A (x) Y: Y written onto each of the d_A diagonal blocks."""
         out = np.zeros(self._shape, dtype=complex)
-        out[self._diag, :, self._diag, :] = y.reshape(self.d_B, self.d_B)
+        out[self._diag, :, self._diag, :] = y
         return out.reshape(self.dim, self.dim)
 
     def _schur(self, w: np.ndarray) -> np.ndarray:
-        """The Hermitian matrix G of y -> A(W A*(y) W) = tr_A[W (id (x) Y) W] for Hermitian W.
+        """The Hermitian matrix G of Y -> A(W A*(Y) W) = tr_A[W (id (x) Y) W] for Hermitian W.
 
-        G[(j,k),(m,n)] = sum_st W_st[j,m] W_ts[n,k], a reshuffled sum of kron(W_st, W_ts^T):
-        one (d_B^2, d_A^2) @ (d_A^2, d_B^2) product of W's blocks.
+        On Y row-major, G[(j,k),(m,n)] = sum_st W_st[j,m] W_ts[n,k], a reshuffled sum of
+        kron(W_st, W_ts^T): one (d_B^2, d_A^2) @ (d_A^2, d_B^2) product of W's blocks.
         """
         w4 = w.reshape(self._shape)  # [s,j,t,m] = W_st[j,m]
         d_a2, m = self.d_A**2, self.n_constraints
@@ -132,10 +131,10 @@ class HermitianSdp:
 class SdpSolution:
     """Matched primal/dual certificate returned by solve().
 
-    y_star holds the entries of the exactly Hermitian multiplier Y,
-    row-major; dual_value is tr(Y).
+    Y_star is the d_B x d_B multiplier Y, so that Z = C - id_A (x) Y;
+    dual_value is tr(Y).
     primal_value is the infeasibility-compensated objective tr(C X) +
-    Re <y, b - A(X)>; it coincides with tr(C X) up to rounding whenever
+    Re tr[Y (id_B - tr_A X)]; it coincides with tr(C X) up to rounding whenever
     the constraint residual is at rounding level, and stays an accurate
     optimum estimate when a degenerate face leaves a small residual floor
     that large multipliers would otherwise amplify.  gap is derived from
@@ -143,7 +142,7 @@ class SdpSolution:
     """
 
     X_star: HermitianOperator
-    y_star: np.ndarray
+    Y_star: HermitianOperator
     Z_star: HermitianOperator
     primal_value: float
     dual_value: float
@@ -170,20 +169,17 @@ class CertificateReport:
     weak_duality_violation: float
 
 
-def _step_estimate(lam: np.ndarray, s: np.ndarray) -> float:
-    """Largest alpha <= 1 keeping diag(lam) + alpha*s, an NT-scaled step, inside the cone; unverified.
+def _step(lam: np.ndarray, lam_mat: np.ndarray, s: np.ndarray) -> tuple[float, np.ndarray]:
+    """The length alpha of the NT-scaled step s from lam_mat = diag(lam), and the factor of the new iterate.
 
     With wmin the least eigenvalue of lam_i^-1/2 s_ij lam_j^-1/2 (eigvalsh reads one triangle: s is
-    not symmetrized), it is the largest alpha <= 1 with 1 + alpha*wmin >= 1 - STEP_FRACTION.
+    not symmetrized), alpha is the largest alpha <= 1 with 1 + alpha*wmin >= 1 - STEP_FRACTION.  That
+    estimate is checked, not trusted: LinAlgError if lam_mat + alpha s has no finite Cholesky factor.
     """
     r = lam**-0.5
     wmin = float(_eigh(r[:, None] * s * r, vectors=False)[0])
-    return min(1.0, -STEP_FRACTION / wmin) if wmin < 0.0 else 1.0
-
-
-def _max_step(s: np.ndarray, d: np.ndarray, alpha: float) -> tuple[float, np.ndarray]:
-    """The estimate alpha with the Cholesky factor of s + alpha*d; LinAlgError if it has no finite one."""
-    ell = np.linalg.cholesky(s + alpha * d)
+    alpha = min(1.0, -STEP_FRACTION / wmin) if wmin < 0.0 else 1.0
+    ell = np.linalg.cholesky(lam_mat + alpha * s)
     if not np.isfinite(ell).all():  # numpy's Cholesky passes NaN through
         raise np.linalg.LinAlgError("the step leaves a non-finite iterate")
     return alpha, ell
@@ -203,7 +199,7 @@ def _nt_scaling(lx: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def solve(problem: HermitianSdp) -> SdpSolution:
     """Run the interior-point iteration and return a matched certificate.
 
-    The iteration starts from y = 0, Z = ||C||_F I (I if C = 0) and the feasible
+    The iteration starts from Y = 0, Z = ||C||_F I (I if C = 0) and the feasible
     X = I/d_A; the start need not be dual feasible.  On optimal certificates
     the dual value exceeds the primal by at most 1e-9; identical problem
     data yields identical output.  Each step is taken in the NT-scaled frame
@@ -230,17 +226,16 @@ def solve(problem: HermitianSdp) -> SdpSolution:
     certificate; no LinAlgError from the iteration escapes.
     """
     n, d_a, d_b = problem.dim, problem.d_A, problem.d_B
-    m = problem.n_constraints
     cmat = problem.objective.mat
     a_op, a_adj = problem._op, problem._adj
-    b = np.eye(d_b, dtype=complex).ravel()
+    b = np.eye(d_b, dtype=complex)
     norm_b = float(np.linalg.norm(b))
     norm_c = float(np.linalg.norm(cmat))
 
     tau = 1.0 / d_a  # tr_A(tau I) = id_B: the start is primal feasible
     x, lx = tau * np.eye(n), np.sqrt(tau) * np.eye(n)
     z = (norm_c or 1.0) * np.eye(n)
-    y = np.zeros(m, dtype=complex)
+    y = np.zeros((d_b, d_b), dtype=complex)
 
     status = STATUS_MAX_ITERATIONS
     iterations = 0
@@ -251,7 +246,7 @@ def solve(problem: HermitianSdp) -> SdpSolution:
         xz = float(np.vdot(z, x).real)
         # infeasibility-compensated objective (the Lagrangian value): when
         # the residual floor is paid for by large multipliers, tr(C X)
-        # alone underestimates the optimum by Re <y, b - A(X)>
+        # alone underestimates the optimum by Re tr[Y (b - A(X))]
         pv = float(np.vdot(cmat, x).real) + float(np.vdot(y, rp).real)
         dv = float(np.vdot(b, y).real)
         pinf = float(np.linalg.norm(rp)) / (1.0 + norm_b)
@@ -283,8 +278,8 @@ def solve(problem: HermitianSdp) -> SdpSolution:
             np.linalg.cholesky(schur)  # the test that the Schur matrix is positive definite
 
             def solve_schur(rhs: np.ndarray) -> np.ndarray:
-                dy = np.linalg.solve(schur, rhs).reshape(d_b, d_b)
-                return (0.5 * (dy + dy.conj().T)).ravel()  # Y exactly Hermitian
+                dy = np.linalg.solve(schur, rhs.ravel()).reshape(d_b, d_b)
+                return 0.5 * (dy + dy.conj().T)  # Y exactly Hermitian
 
             rhs = b + a_op(w @ rd @ w)  # rp - A(-X - W rd W): the predictor's, and the corrector's but one term
 
@@ -302,8 +297,8 @@ def solve(problem: HermitianSdp) -> SdpSolution:
             dz = rd - a_adj(dy := solve_schur(rhs - a_op(g @ s @ gh)))
             sz = gh @ dz @ g
             sx = s - lam_mat - sz
-            _, ell = _max_step(lam_mat, sx, _step_estimate(lam, sx))
-            ad, _ = _max_step(lam_mat, sz, _step_estimate(lam, sz))
+            _, ell = _step(lam, lam_mat, sx)
+            ad, _ = _step(lam, lam_mat, sz)
 
             lx = g @ ell  # X + alpha dX = G (diag(lam) + alpha sx) G† = lx lx†
             x = lx @ lx.conj().T
@@ -318,7 +313,7 @@ def solve(problem: HermitianSdp) -> SdpSolution:
 
     return SdpSolution(
         X_star=HermitianOperator(x),
-        y_star=_frozen(y),
+        Y_star=HermitianOperator(y),
         Z_star=HermitianOperator(z),
         primal_value=pv,
         dual_value=dv,
@@ -330,14 +325,13 @@ def solve(problem: HermitianSdp) -> SdpSolution:
 def check_certificate(problem: HermitianSdp, solution: SdpSolution) -> CertificateReport:
     """Recompute feasibility residuals, cone violations and the gap from scratch.
 
-    Reads the two identities directly: tr_A X = id_B, and Z = C - id_A (x) Y
-    with Y the d_B x d_B reshape of y.  Uses only the problem data and the
-    solution's (X, y, Z); nothing is shared with the solver internals, so
-    corrupted certificates are caught.
+    Reads the two identities directly: tr_A X = id_B, and Z = C - id_A (x) Y.
+    Uses only the problem data and the solution's (X, Y, Z); nothing is
+    shared with the solver internals, so corrupted certificates are caught.
     """
     x, z, c = solution.X_star.mat, solution.Z_star.mat, problem.objective.mat
     d_a, d_b = problem.d_A, problem.d_B
-    y = solution.y_star.reshape(d_b, d_b)
+    y = solution.Y_star.mat
     pv = float(np.vdot(c, x).real)  # tr(C X), C Hermitian
     dv = float(np.trace(y).real)
     return CertificateReport(

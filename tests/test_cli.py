@@ -11,14 +11,17 @@ import pytest
 
 from minmaxent import (
     BipartiteState,
+    CqEnsemble,
     HermitianOperator,
     OracleReport,
     cli,
+    ensemble_to_json,
     load_state,
     max_entropy,
     min_entropy,
     random_density,
     save_state,
+    state_to_json,
 )
 from minmaxent import verify as verify_mod
 from minmaxent.cli import run
@@ -37,6 +40,19 @@ def test_gen_writes_the_library(library):
     names = sorted(os.listdir(library))
     assert "phi2.json" in names and "helstrom.json" in names
     assert "random_2x3.json" in names and "target_2.json" in names
+
+
+def test_gen_keys_each_random_state_by_seed_and_index(library):
+    # (seed, k): k = 0, 1, 2 for the random files, 3 and 4 for the cq states, so no two
+    # states share a stream and no seed re-draws another's ((7, 0) seeds the stream of 7,
+    # so random_2x2 is drawn as it was when every file was drawn from the bare seed)
+    for k, (d_a, d_b) in enumerate(((2, 2), (2, 3), (3, 3))):
+        with open(library / f"random_{d_a}x{d_b}.json") as fh:
+            state = BipartiteState(random_density(d_a * d_b, (7, k)), d_a, d_b)
+            assert fh.read() == state_to_json(state) + "\n"
+    cq = CqEnsemble(np.array([0.3, 0.7]), (random_density(2, (7, 3)), random_density(2, (7, 4))))
+    with open(library / "cq_random_2x2.json") as fh:
+        assert fh.read() == ensemble_to_json(cq) + "\n"
 
 
 def test_gen_is_deterministic(tmp_path, capsys):
@@ -361,13 +377,23 @@ def test_unknown_verb_rejected():
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("verb", ["gen", "verify"])
-def test_negative_seed_rejected_at_parse_time(verb, tmp_path, capsys):
-    # numpy's generators refuse a negative seed deep in the call; the parser names the flag
+@pytest.mark.parametrize(
+    "verb,flag,value,kind",
+    [
+        ("gen", "--seed", "-1", "non-negative"),
+        ("verify", "--seed", "-1", "non-negative"),
+        ("verify", "--trials", "0", "positive"),
+        ("verify", "--trials", "-3", "positive"),
+    ],
+    ids=["gen", "verify", "verify_trials_0", "verify_trials_-3"],
+)
+def test_negative_seed_rejected_at_parse_time(verb, flag, value, kind, tmp_path, capsys):
+    # numpy's generators refuse a negative seed, and run_all a trial count below 1, deep in
+    # the call; the parser names the flag
     with pytest.raises(SystemExit) as exc:
-        run([verb, "--seed", "-1"] + (["--input", str(tmp_path / "lib")] if verb == "gen" else []))
+        run([verb, flag, value] + (["--input", str(tmp_path / "lib")] if verb == "gen" else []))
     assert exc.value.code == 2
-    assert "argument --seed: expected a non-negative integer, got '-1'" in capsys.readouterr().err
+    assert f"argument {flag}: expected a {kind} integer, got '{value}'" in capsys.readouterr().err
     assert not (tmp_path / "lib").exists()
 
 
@@ -528,12 +554,6 @@ def test_guessing_povm_row_checks_the_povm_from_scratch(monkeypatch, shift):
         assert gap == pytest.approx(1e-3 - np.linalg.eigvalsh(unspoiled[0][1].mat)[0], abs=1e-12)
     else:
         assert gap >= 1e-3 - 1e-9
-
-
-def test_verify_nonpositive_trials_exits_2(capsys):
-    assert run(["verify", "--trials", "-3"]) == 2
-    out = capsys.readouterr()
-    assert "PASS" not in out.out and "trials" in out.err
 
 
 def test_verify_failing_row_exits_1_at_its_own_tolerance(capsys, monkeypatch):

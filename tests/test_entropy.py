@@ -72,17 +72,16 @@ class TestMinEntropy:
             assert max_entropy(state).value_bits <= math.log2(d_a) + 1e-7
 
     def test_certificate_sizes(self):
-        # the SDP variable is E on A (x) B with one constraint per basis element of B
+        # the SDP variable is E on A (x) B, and the multiplier Y of tr_A E = id_B is d_B x d_B
         state = random_state(3, 2, seed=42)
         cert = min_entropy(state).certificate
         assert cert.X_star.dim == 3 * 2
-        assert cert.y_star.size == 2**2
+        assert cert.Y_star.dim == 2
 
     def test_sigma_is_the_normalized_dual_matrix(self):
-        # y_star is the multiplier Y of tr_A E = id_B row-major, and sigma = -Y
+        # Y_star is the multiplier Y of tr_A E = id_B, and sigma = -Y
         rep = min_entropy(random_state(3, 2, seed=42))
-        y = rep.certificate.y_star.reshape(2, 2)
-        assert np.array_equal(y, y.conj().T)
+        y = rep.certificate.Y_star.mat
         assert np.array_equal(rep.optimizer_sigma.mat, -y / np.trace(-y).real)
         assert np.trace(-y).real == pytest.approx(-rep.certificate.dual_value, rel=1e-14)  # tr sigma = 2^-H_min
 
@@ -134,7 +133,7 @@ class TestMaxEntropy:
         state = random_state(2, 3, seed=43, rank=4)
         cert = max_entropy(state).certificate
         assert cert.X_star.dim == 2 * 4
-        assert cert.y_star.size == 4**2
+        assert cert.Y_star.dim == 4
 
     def test_duality_with_min_entropy_bounds(self):
         state = random_state(2, 2, seed=7)

@@ -114,14 +114,14 @@ class TestSolve:
         sol = solve(domination_problem(np.array([[3.0]])))
         assert sol.status == "optimal"
         assert sol.primal_value == pytest.approx(-3.0, abs=1e-7)
-        assert -sol.y_star[0].real == pytest.approx(3.0, abs=1e-6)
+        assert -sol.Y_star.mat[0, 0].real == pytest.approx(3.0, abs=1e-6)
 
     def test_domination_by_psd_matrix(self):
         rho = random_density(3, 7).mat
         sol = solve(domination_problem(rho))
         assert sol.status == "optimal"
         assert sol.primal_value == pytest.approx(-1.0, abs=1e-7)
-        assert np.max(np.abs(-sol.y_star.reshape(3, 3) - rho)) <= 1e-6
+        assert np.max(np.abs(-sol.Y_star.mat - rho)) <= 1e-6
 
     def test_double_domination_matches_grid_search(self):
         m1 = np.diag([0.7, 0.2]).astype(complex)
@@ -153,7 +153,7 @@ class TestSolve:
         p = hmin_problem(9)
         a, b = solve(p), solve(p)
         assert a.X_star.mat.tobytes() == b.X_star.mat.tobytes()
-        assert a.y_star.tobytes() == b.y_star.tobytes()
+        assert a.Y_star.mat.tobytes() == b.Y_star.mat.tobytes()
         assert a.primal_value == b.primal_value
 
     def test_scale_covariance(self):
@@ -242,7 +242,7 @@ class TestCertificate:
         bad[0, 0] += 0.1
         corrupted = SdpSolution(
             X_star=HermitianOperator(bad),
-            y_star=sol.y_star,
+            Y_star=sol.Y_star,
             Z_star=sol.Z_star,
             primal_value=sol.primal_value,
             dual_value=sol.dual_value,
@@ -257,7 +257,7 @@ class TestCertificate:
         sol = solve(p)
         forged = SdpSolution(
             X_star=sol.X_star,
-            y_star=sol.y_star,
+            Y_star=sol.Y_star,
             Z_star=sol.Z_star,
             primal_value=sol.primal_value,
             dual_value=sol.primal_value + 1e-5,
@@ -269,7 +269,7 @@ class TestCertificate:
 
     def test_solution_arrays_are_read_only(self):
         sol = min_entropy(BipartiteState(random_density(4, 3), 2, 2)).certificate
-        for arr in (sol.X_star.mat, sol.y_star, sol.Z_star.mat):
+        for arr in (sol.X_star.mat, sol.Y_star.mat, sol.Z_star.mat):
             assert not arr.flags.writeable
 
     def test_check_of_a_purified_problem_stores_no_constraint_stack(self):
@@ -346,24 +346,26 @@ class TestConstraintCoords:
         assert (m, n) == (p.n_constraints, p.dim)
         x = self.random_hermitian(n, 41)
         rng = np.random.default_rng(41)
+        # Y is a general complex d_B x d_B matrix; the map is linear in it
         y = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        ax, aty = p._op(x), p._adj(y)
-        assert np.max(np.abs(ax - np.einsum("iab,ba->i", amats, x))) <= 1e-12
+        ax, aty = p._op(x), p._adj(y.reshape(p.d_B, p.d_B))
+        assert ax.shape == (p.d_B, p.d_B)
+        assert np.max(np.abs(ax.ravel() - np.einsum("iab,ba->i", amats, x))) <= 1e-12
         assert np.max(np.abs(aty - np.einsum("i,iba->ab", y, amats))) <= 1e-12
-        # <y, A(X)> = <A*(y), X>
+        # <Y, A(X)> = <A*(Y), X>
         assert abs(np.vdot(y, ax) - np.vdot(aty, x)) <= 1e-12 * (1.0 + abs(np.vdot(y, ax)))
 
     def test_certificate_check_matches_dense_definition(self, name, monkeypatch):
         # every CertificateReport field from the dense A_(j,k), b_(j,k) = delta_jk, on the
-        # solver's certificate and on a random (X, y, Z) whose residuals are of order one
+        # solver's certificate and on a random (X, Y, Z) whose residuals are of order one;
+        # y is Y row-major, the coordinates of the dense constraints
         p, amats = self.dense(name)
-        n, m = p.dim, p.n_constraints
+        n = p.dim
         b = np.eye(p.d_B).ravel()
-        rng = np.random.default_rng(42)
         sol = solve(p)
         forged = SdpSolution(
             X_star=herm(self.random_hermitian(n, 43)),
-            y_star=rng.standard_normal(m) + 1j * rng.standard_normal(m),
+            Y_star=herm(self.random_hermitian(p.d_B, 42) - 0.5 * np.eye(p.d_B)),
             Z_star=herm(self.random_hermitian(n, 44) - 0.5 * np.eye(n)),
             primal_value=0.3,
             dual_value=0.4,
@@ -373,12 +375,12 @@ class TestConstraintCoords:
         for method in ("_op", "_adj", "_schur"):
             monkeypatch.setattr(HermitianSdp, method, _raise_linalg)
         for s in (sol, forged):
-            x, z, c = s.X_star.mat, s.Z_star.mat, p.objective.mat
+            x, y, z, c = s.X_star.mat, s.Y_star.mat.ravel(), s.Z_star.mat, p.objective.mat
             pv = np.trace(c @ x).real
-            dv = np.sum(np.conj(s.y_star) * b).real
+            dv = np.sum(np.conj(y) * b).real
             want = {
                 "constraint_residual": np.max(np.abs(np.einsum("iab,ba->i", amats, x) - b)),
-                "dual_residual": np.max(np.abs(c - z - np.einsum("i,iba->ab", s.y_star, amats.conj()))),
+                "dual_residual": np.max(np.abs(c - z - np.einsum("i,iba->ab", y, amats.conj()))),
                 "min_eig_X": np.linalg.eigvalsh(x)[0],
                 "min_eig_Z": np.linalg.eigvalsh(z)[0],
                 "primal_value": pv,
@@ -391,17 +393,25 @@ class TestConstraintCoords:
             for field, value in want.items():
                 assert abs(getattr(got, field) - value) <= 1e-12 * (1.0 + abs(value)), field
 
-    def test_each_dual_block_is_exactly_hermitian(self, name):
-        # y_star holds the multiplier Y row-major
+    def test_each_dual_block_is_exactly_hermitian(self, name, monkeypatch):
+        # the solver's multiplier Y is exactly Hermitian as solved, so Y_star stores its bytes unchanged
         p = BUILDERS[name]()
+        wrapped = []
+
+        def recorded(mat):
+            wrapped.append(mat)
+            return HermitianOperator(mat)
+
+        monkeypatch.setattr(sdp, "HermitianOperator", recorded)
         sol = solve(p)
-        assert sol.status == "optimal" and sol.y_star.shape == (p.n_constraints,)
-        y = sol.y_star.reshape(p.d_B, p.d_B)
+        y = wrapped[1]  # X_star, Y_star and Z_star are built in that order
+        assert sol.status == "optimal" and y.shape == (p.d_B, p.d_B)
         assert np.array_equal(y, y.conj().T)
+        assert sol.Y_star.mat.tobytes() == y.tobytes()
 
 
 class TestMaxStep:
-    """_step_estimate reads the step length in the NT-scaled frame; _max_step verifies it by a factor."""
+    """_step reads the step length in the NT-scaled frame and verifies it by a factor."""
 
     @staticmethod
     def pd_and_frame(n: int, seed: int):
@@ -410,38 +420,39 @@ class TestMaxStep:
         z = TestConstraintCoords.random_hermitian(n, seed + 100) + 0.1 * np.eye(n)
         g, lam = sdp._nt_scaling(np.linalg.cholesky(s), z)
         g_inv = np.linalg.inv(g)
-        return s, lam, lambda d: g_inv @ d @ g_inv.conj().T
+        return s, g, lam, lambda d: g_inv @ d @ g_inv.conj().T
 
     def test_psd_direction_takes_the_full_step(self):
-        s, lam, scaled = self.pd_and_frame(4, 50)
-        d = TestConstraintCoords.random_hermitian(4, 51)
-        estimate = sdp._step_estimate(lam, scaled(d))
-        assert estimate == 1.0
-        alpha, ell = sdp._max_step(s, d, estimate)
+        _, _, lam, scaled = self.pd_and_frame(4, 50)
+        d = scaled(TestConstraintCoords.random_hermitian(4, 51))
+        alpha, ell = sdp._step(lam, np.diag(lam), d)
         assert alpha == 1.0
-        assert np.array_equal(ell, np.linalg.cholesky(s + d))
+        assert np.array_equal(ell, np.linalg.cholesky(np.diag(lam) + d))
 
     def test_factor_is_the_cholesky_factor_of_the_new_iterate(self):
-        s, lam, scaled = self.pd_and_frame(5, 52)
+        # ell factors the new iterate in the frame, and G ell the new iterate itself
+        s, g, lam, scaled = self.pd_and_frame(5, 52)
         d = -TestConstraintCoords.random_hermitian(5, 53)
-        alpha, ell = sdp._max_step(s, d, sdp._step_estimate(lam, scaled(d)))
+        alpha, ell = sdp._step(lam, np.diag(lam), scaled(d))
         assert 0.0 < alpha < 1.0
-        new = s + alpha * d
+        new = np.diag(lam) + alpha * scaled(d)
         assert ell.tobytes() == np.linalg.cholesky(new).tobytes()
         assert np.max(np.abs(ell @ ell.conj().T - new)) <= 1e-12 * np.max(np.abs(new))
+        gl = g @ ell
+        assert np.max(np.abs(gl @ gl.conj().T - (s + alpha * d))) <= 1e-10 * np.max(np.abs(s))
 
     def test_overshooting_estimate_is_a_numerical_failure(self, monkeypatch):
-        # estimated against 50 s, the step reads a spectrum 50 times
-        # too small and asks for the full step, past the boundary of the cone
-        s, lam, scaled = self.pd_and_frame(4, 54)
-        d = -TestConstraintCoords.random_hermitian(4, 55)
-        estimate = sdp._step_estimate(50.0 * lam, scaled(d))
-        assert np.linalg.eigvalsh(s + estimate * d)[0] <= 0.0
+        # estimated against 50 diag(lam), the step reads a spectrum 50 times
+        # too small and asks for a step past the boundary of the cone
+        _, _, lam, scaled = self.pd_and_frame(4, 54)
+        d = scaled(-TestConstraintCoords.random_hermitian(4, 55))
+        assert np.linalg.eigvalsh(np.diag(lam) + d)[0] <= 0.0
+        sdp._step(lam, np.diag(lam), d)  # estimated against its own spectrum, the step is taken
         with pytest.raises(np.linalg.LinAlgError):
-            sdp._max_step(s, d, estimate)
+            sdp._step(50.0 * lam, np.diag(lam), d)
         # in a solve, the first step short of the full one overshoots alike
-        step_estimate = sdp._step_estimate
-        monkeypatch.setattr(sdp, "_step_estimate", lambda lam, s: step_estimate(50.0 * lam, s))
+        step = sdp._step
+        monkeypatch.setattr(sdp, "_step", lambda lam, lam_mat, s: step(50.0 * lam, lam_mat, s))
         sol = solve(hmin_problem(16))
         assert sol.status == "numerical_failure"
         assert np.all(np.isfinite(sol.X_star.mat)) and np.all(np.isfinite(sol.Z_star.mat))
@@ -453,14 +464,14 @@ class TestMaxStep:
         # rejects the step (in the frame of X = Z = I a direction is its own
         # scaled form)
         d = np.array([[np.nan, 0.0], [0.0, 1.0]])
-        s, lam = np.eye(2), np.ones(2)
-        assert sdp._step_estimate(lam, d) == 1.0
-        assert not np.isfinite(np.linalg.cholesky(s + d)).all()
+        lam = np.ones(2)
+        assert not _eigh(d, vectors=False)[0] < 0.0  # so the estimate is the full step
+        assert not np.isfinite(np.linalg.cholesky(np.eye(2) + d)).all()
         with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
-            sdp._max_step(s, d, 1.0)
+            sdp._step(lam, np.eye(2), d)
 
     def test_step_estimate_is_the_spectral_formula(self):
-        _, lam, scaled = self.pd_and_frame(5, 58)
+        _, _, lam, scaled = self.pd_and_frame(5, 58)
         # the random directions are shortened; the small one is capped at the full step
         directions = [-TestConstraintCoords.random_hermitian(5, seed) for seed in (59, 60, 61)]
         for d in directions + [-1e-3 * np.eye(5)]:
@@ -468,39 +479,45 @@ class TestMaxStep:
             lmin = scipy.linalg.eigh(scaled(d), np.diag(lam), eigvals_only=True)[0]
             assert lmin < 0.0
             want = min(1.0, -sdp.STEP_FRACTION / lmin)
-            assert sdp._step_estimate(lam, scaled(d)) == pytest.approx(want, rel=1e-12)
+            assert sdp._step(lam, np.diag(lam), scaled(d))[0] == pytest.approx(want, rel=1e-12)
         for g in directions:
-            assert sdp._step_estimate(lam, scaled(g @ g.conj().T)) == 1.0  # PSD direction
+            assert sdp._step(lam, np.diag(lam), scaled(g @ g.conj().T))[0] == 1.0  # PSD direction
 
     def test_step_estimate_never_factors(self, monkeypatch):
-        s, lam, scaled = self.pd_and_frame(4, 62)
-        d = -TestConstraintCoords.random_hermitian(4, 63)
-        expected = sdp._step_estimate(lam, scaled(d))
+        # the length is read from the scaled spectrum alone: the one Cholesky
+        # call is the check of diag(lam) + alpha s at that length
+        _, _, lam, scaled = self.pd_and_frame(4, 62)
+        d = scaled(-TestConstraintCoords.random_hermitian(4, 63))
+        cholesky, factored = np.linalg.cholesky, []
+
+        def recorded(a, *args, **kwargs):
+            factored.append(a)
+            return cholesky(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", recorded)
+        alpha, _ = sdp._step(lam, np.diag(lam), d)
+        assert len(factored) == 1
+        assert factored[0].tobytes() == (np.diag(lam) + alpha * d).tobytes()
         monkeypatch.setattr(np.linalg, "cholesky", _raise_linalg)
-        assert sdp._step_estimate(lam, scaled(d)) == expected
         with pytest.raises(np.linalg.LinAlgError):
-            sdp._max_step(s, d, expected)
+            sdp._step(lam, np.diag(lam), d)
 
     def test_solve_factors_only_the_steps_it_takes(self, monkeypatch):
         # per completed iteration: the predictor's step is not measured, and
-        # the corrector's two are factor-verified, each on an estimate from a
-        # scaled spectrum of its own; every n x n Cholesky call comes from
-        # _max_step (m = 9 differs from n = 6)
+        # the corrector's two are each estimated from a scaled spectrum of
+        # their own and factor-verified; every n x n Cholesky call comes from
+        # _step (m = 9 differs from n = 6)
         p = _min_entropy_problem(random_density(6, 64).mat, 2, 3)
         n = p.dim
-        calls = {"estimate": 0, "max_step": 0, "outside": 0}
-        estimate, max_step, cholesky = sdp._step_estimate, sdp._max_step, np.linalg.cholesky
+        calls = {"step": 0, "outside": 0}
+        step, cholesky = sdp._step, np.linalg.cholesky
         inside = []
 
-        def counted_estimate(*args):
-            calls["estimate"] += 1
-            return estimate(*args)
-
-        def counted_max_step(*args):
-            calls["max_step"] += 1
+        def counted_step(*args):
+            calls["step"] += 1
             inside.append(1)
             try:
-                return max_step(*args)
+                return step(*args)
             finally:
                 inside.pop()
 
@@ -508,13 +525,12 @@ class TestMaxStep:
             calls["outside"] += a.shape == (n, n) and not inside
             return cholesky(a, *args, **kwargs)
 
-        monkeypatch.setattr(sdp, "_step_estimate", counted_estimate)
-        monkeypatch.setattr(sdp, "_max_step", counted_max_step)
+        monkeypatch.setattr(sdp, "_step", counted_step)
         monkeypatch.setattr(np.linalg, "cholesky", watched_cholesky)
         sol = solve(p)
         assert sol.status == "optimal"
         steps = sol.iterations - 1  # the last iteration stops before stepping
-        assert calls == {"estimate": 2 * steps, "max_step": 2 * steps, "outside": 0}
+        assert calls == {"step": 2 * steps, "outside": 0}
 
     def test_solve_inverts_no_iterate_factor(self, monkeypatch):
         # step lengths and Z^-1 are read in the NT-scaled frame, and the two
@@ -536,11 +552,11 @@ class TestMaxStep:
 
     def test_non_finite_factor_is_never_accepted(self, monkeypatch):
         # numpy's Cholesky returns a NaN factor for NaN input instead of failing
-        s = TestConstraintCoords.random_hermitian(3, 56) + 0.1 * np.eye(3)
-        d = TestConstraintCoords.random_hermitian(3, 57)
+        _, _, lam, scaled = self.pd_and_frame(3, 56)
+        d = scaled(TestConstraintCoords.random_hermitian(3, 57))
         monkeypatch.setattr(np.linalg, "cholesky", lambda a: np.full_like(a, np.nan))
         with pytest.raises(np.linalg.LinAlgError):
-            sdp._max_step(s, d, 1.0)
+            sdp._step(lam, np.diag(lam), d)
 
 
 class TestCorrector:
@@ -588,7 +604,8 @@ class TestCorrector:
             ell_inv = np.linalg.inv(np.linalg.cholesky(s))
             lmin = np.linalg.eigvalsh(ell_inv @ ds @ ell_inv.conj().T)[0]
             assert lmin < -1.0  # a step short of the full one
-            assert sdp._step_estimate(lam, scaled) == pytest.approx(-sdp.STEP_FRACTION / lmin, rel=1e-10)
+            alpha, _ = sdp._step(lam, np.diag(lam), scaled)
+            assert alpha == pytest.approx(-sdp.STEP_FRACTION / lmin, rel=1e-10)
 
     @pytest.mark.parametrize("n,seed", [(2, 90), (5, 91), (9, 92)])
     def test_affine_step_reads_in_the_frame_from_one_spectrum(self, n, seed):
@@ -609,7 +626,7 @@ class TestCorrector:
         wa = np.linalg.eigvalsh(r[:, None] * sz * r)
         assert np.linalg.eigvalsh(r[:, None] * sx * r) == pytest.approx(-1.0 - wa[::-1], rel=1e-10, abs=1e-10)
         want_step = min(1.0, sdp.STEP_FRACTION / (1.0 + wa[-1])) if wa[-1] > -1.0 else 1.0
-        assert sdp._step_estimate(lam, sx) == pytest.approx(want_step, rel=1e-10)
+        assert sdp._step(lam, np.diag(lam), sx)[0] == pytest.approx(want_step, rel=1e-10)
 
     @pytest.mark.parametrize("cap", [3, 200])
     def test_each_iterate_is_measured_once(self, monkeypatch, cap):
@@ -710,7 +727,7 @@ class TestEigenFallback:
         sol = solve(p)
         assert sol.status == "numerical_failure" == sdp.STATUS_NUMERICAL_FAILURE
         assert sol.iterations == 1
-        for arr in (sol.X_star.mat, sol.y_star, sol.Z_star.mat):
+        for arr in (sol.X_star.mat, sol.Y_star.mat, sol.Z_star.mat):
             assert np.all(np.isfinite(arr))
         assert np.isfinite(sol.primal_value) and np.isfinite(sol.dual_value)
 
@@ -733,7 +750,7 @@ class TestEigenFallback:
         assert sol.status == "numerical_failure"
         assert sol.iterations == 4 and len(calls) == 5  # the fourth iteration tried both triangles
         assert sol.X_star.mat.tobytes() == capped.X_star.mat.tobytes()
-        assert sol.y_star.tobytes() == capped.y_star.tobytes()
+        assert sol.Y_star.mat.tobytes() == capped.Y_star.mat.tobytes()
         assert sol.Z_star.mat.tobytes() == capped.Z_star.mat.tobytes()
         assert sol.primal_value == capped.primal_value
         assert sol.dual_value == capped.dual_value
@@ -743,7 +760,7 @@ class TestEigenFallback:
         monkeypatch.setattr(np.linalg, "cholesky", _raise_linalg)
         sol = solve(p)
         assert sol.status == "numerical_failure"
-        assert np.all(np.isfinite(sol.X_star.mat)) and np.all(np.isfinite(sol.y_star))
+        assert np.all(np.isfinite(sol.X_star.mat)) and np.all(np.isfinite(sol.Y_star.mat))
 
     @pytest.mark.parametrize("d_a,d_b,seed", [(2, 3, 41), (3, 2, 42), (2, 4, 43), (4, 2, 44)])
     def test_schur_cholesky_failure_is_a_numerical_failure(self, monkeypatch, d_a, d_b, seed):
@@ -764,7 +781,7 @@ class TestEigenFallback:
         sol = solve(p)
         assert schur_calls == [1]
         assert sol.status == "numerical_failure" and sol.iterations == 1
-        for arr in (sol.X_star.mat, sol.y_star, sol.Z_star.mat):
+        for arr in (sol.X_star.mat, sol.Y_star.mat, sol.Z_star.mat):
             assert np.all(np.isfinite(arr))
         assert np.isfinite(sol.primal_value) and np.isfinite(sol.dual_value)
 
@@ -782,7 +799,7 @@ class TestEigenFallback:
         monkeypatch.setattr(HermitianSdp, "_schur", nan_on_fifth_call)
         sol = solve(p)
         assert sol.status == "numerical_failure"
-        assert np.all(np.isfinite(sol.X_star.mat)) and np.all(np.isfinite(sol.y_star))
+        assert np.all(np.isfinite(sol.X_star.mat)) and np.all(np.isfinite(sol.Y_star.mat))
 
     def test_min_entropy_raises_solver_error(self, monkeypatch):
         state = BipartiteState(random_density(4, 17), 2, 2)
